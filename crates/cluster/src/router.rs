@@ -102,7 +102,7 @@ impl RouterConfig {
 }
 
 /// Outbound handle for one client connection.
-struct ConnHandle {
+struct ClientConn {
     out: Sender<String>,
     stream: TcpStream,
 }
@@ -117,7 +117,7 @@ struct RouterHub {
     stats: Arc<ClusterStats>,
     membership: Arc<Membership>,
     migration: Arc<MigrationController>,
-    conns: Mutex<HashMap<u64, ConnHandle>>,
+    conns: Mutex<HashMap<u64, ClientConn>>,
     /// Which client connection owns (receives `EVENT` notifications for)
     /// each id. The router synthesizes notifications from merged rows;
     /// backend-side ownership never reaches clients.
@@ -412,7 +412,7 @@ fn spawn_connection(
         };
         hub.conns.lock().insert(
             conn_id,
-            ConnHandle {
+            ClientConn {
                 out: out_tx.clone(),
                 stream: registry_stream,
             },

@@ -1,32 +1,17 @@
 //! TCP broker: connection serving, result delivery, background
-//! maintenance, and graceful shutdown — over either of two I/O models
-//! ([`crate::config::IoModel`], no async runtime in either).
+//! maintenance, and graceful shutdown, with no async runtime.
 //!
-//! **Event loop** (the default): the listener and every client
-//! connection are served by the `apcm-netio` readiness loop — a fixed
-//! worker pool multiplexing epoll-driven reads, byte-capped line
-//! framing, bounded per-connection outbound queues flushed on
-//! `EPOLLOUT`, and a timer wheel for idle reaping, with the maintenance
-//! sweep riding the loop's tick hook. Thread count is O(workers), not
-//! O(connections), so tens of thousands of mostly-idle subscribers fit
-//! in one pool.
-//!
-//! **Threads**: the original model, retained as a baseline and
-//! fallback —
-//!
-//! * one **accept** thread polling a non-blocking listener;
-//! * per connection, a **reader** thread and a **writer** thread
-//!   draining the connection's bounded outbound queue — the
-//!   slow-consumer boundary;
-//! * one **maintenance** thread sweeping every shard's `maintain()`, the
-//!   persister's [`Persister::maintenance_tick`], and idle connections.
-//!
-//! Both models funnel every inbound line through the same dispatcher
-//! ([`crate::request::on_conn_line`]), so protocol semantics — reply
-//! text, ack-before-submit ordering, counters, slow-consumer policy —
-//! are byte-identical. The **matcher** thread inside [`IngestPipeline`]
-//! and the outbound replication/reshard pullers ([`ReplicaRunner`],
-//! [`ReshardRunner`]) are dedicated threads in both models.
+//! The listener and every client connection are served by the
+//! `apcm-netio` readiness loop — a fixed worker pool multiplexing
+//! epoll-driven reads, byte-capped line framing, bounded per-connection
+//! outbound queues flushed on `EPOLLOUT` (the slow-consumer boundary),
+//! and a timer wheel for idle reaping, with the maintenance sweep riding
+//! the loop's tick hook. Thread count is O(workers), not O(connections),
+//! so tens of thousands of mostly-idle subscribers fit in one pool.
+//! Every inbound line goes through one dispatcher
+//! ([`crate::request::on_conn_line`]). The **matcher** thread inside
+//! [`IngestPipeline`] and the outbound replication/reshard pullers
+//! ([`ReplicaRunner`], [`ReshardRunner`]) are dedicated threads.
 //!
 //! Subscriptions are durable within a run: a closed connection keeps its
 //! subscriptions live (notifications for them are silently discarded until
@@ -39,41 +24,31 @@
 //! reader (`max_line_bytes`) — an oversized line is discarded up to its
 //! newline and answered with a structured `-ERR`, never buffered
 //! unboundedly. Connections silent for longer than `idle_timeout` are
-//! reaped by the maintenance sweep.
+//! reaped by the loop's timer wheel.
 
 use apcm_bexpr::{Schema, SubId, Subscription};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::{connect_stream, ConnectOptions};
-use crate::config::{IoModel, ServerConfig, SlowConsumerPolicy};
+use crate::config::{ServerConfig, SlowConsumerPolicy};
 use crate::event_broker::BrokerService;
 use crate::ingest::{IngestItem, IngestPipeline, ResultSink};
 use crate::persist::log::{parse_frame, ReplayOp};
 use crate::persist::{Persister, RecoveryReport};
 use crate::protocol::{self, ReplicateStart};
-use crate::replication::{FollowerConn, Role, RoleState, ThreadedFollower};
-use crate::request::{on_conn_line, ConnCtx, ConnState, Flow, LineInput};
+use crate::replication::{Role, RoleState};
+use crate::request::ConnCtx;
 use crate::ring::RingScope;
 use crate::shard::ShardedEngine;
 use crate::stats::ServerStats;
-
-/// Outbound handle for one threaded-mode connection.
-pub(crate) struct ConnHandle {
-    out: Sender<String>,
-    stream: TcpStream,
-    /// Milliseconds since the server epoch of the last inbound line; the
-    /// idle sweep compares this against `idle_timeout`.
-    activity: Arc<AtomicU64>,
-}
 
 /// Compact fingerprint of a subscription's expression, used to decide
 /// whether a duplicate `SUB` is a reconnect offering the byte-identical
@@ -131,24 +106,18 @@ fn decode_bootstrap_block(line: &str, schema: &Schema) -> Result<Vec<Subscriptio
         .collect()
 }
 
-/// How outbound lines reach their connection: the threaded broker's
-/// per-connection queue/registry, or the event loop's handle. Settled at
-/// startup from [`IoModel`]; the loop variant is a `OnceLock` because the
-/// hub must exist (the ingest pipeline sinks into it) before the loop —
-/// which needs the hub via its service — can start.
-pub(crate) enum Delivery {
-    Threads(Mutex<HashMap<u64, ConnHandle>>),
-    Loop(OnceLock<Arc<apcm_netio::LoopHandle>>),
-}
-
-/// State shared by every thread: the registry of live connections and
+/// State shared by every thread: the event loop's handle and
 /// subscription ownership, plus delivery policy. Doubles as the ingest
 /// pipeline's [`ResultSink`].
 pub(crate) struct Hub {
     pub(crate) schema: Schema,
     pub(crate) stats: Arc<ServerStats>,
     policy: SlowConsumerPolicy,
-    pub(crate) delivery: Delivery,
+    /// The event loop's handle, through which every outbound line
+    /// reaches its connection. A `OnceLock` because the hub must exist
+    /// (the ingest pipeline sinks into it) before the loop — which needs
+    /// the hub via its service — can start.
+    pub(crate) delivery: OnceLock<Arc<apcm_netio::LoopHandle>>,
     /// Which connection owns (receives `EVENT` notifications for) each id.
     pub(crate) owners: RwLock<HashMap<SubId, u64>>,
     /// Fingerprint of every live subscription's expression (seeded from
@@ -169,104 +138,40 @@ impl Hub {
     /// slow-consumer policy on overflow. Unknown connections (already
     /// closed) discard silently.
     pub(crate) fn push_line(&self, conn_id: u64, line: String) {
-        match &self.delivery {
-            Delivery::Threads(registry) => {
-                let mut conns = registry.lock();
-                let Some(handle) = conns.get(&conn_id) else {
-                    return;
-                };
-                match handle.out.try_send(line) {
-                    Ok(()) => {
-                        ServerStats::add(&self.stats.replies_sent, 1);
-                    }
-                    Err(TrySendError::Full(_)) => match self.policy {
-                        SlowConsumerPolicy::Drop => {
-                            ServerStats::add(&self.stats.replies_dropped, 1);
-                        }
-                        SlowConsumerPolicy::Disconnect => {
-                            ServerStats::add(&self.stats.slow_disconnects, 1);
-                            let handle = conns.remove(&conn_id).expect("checked above");
-                            // Reader unblocks on the socket shutdown and
-                            // cleans up; the writer exits once the last
-                            // queue sender drops.
-                            let _ = handle.stream.shutdown(Shutdown::Both);
-                        }
-                    },
-                    Err(TrySendError::Disconnected(_)) => {
-                        conns.remove(&conn_id);
-                    }
-                }
-            }
-            Delivery::Loop(cell) => {
-                let Some(handle) = cell.get() else {
-                    return;
-                };
-                match handle.try_send(conn_id, line) {
-                    apcm_netio::SendOutcome::Sent => {
-                        ServerStats::add(&self.stats.replies_sent, 1);
-                    }
-                    apcm_netio::SendOutcome::Full => match self.policy {
-                        SlowConsumerPolicy::Drop => {
-                            ServerStats::add(&self.stats.replies_dropped, 1);
-                        }
-                        SlowConsumerPolicy::Disconnect => {
-                            ServerStats::add(&self.stats.slow_disconnects, 1);
-                            handle.kick(conn_id);
-                        }
-                    },
-                    apcm_netio::SendOutcome::Gone => {}
-                }
-            }
-        }
-    }
-
-    /// The threaded connection registry; `None` in event-loop mode.
-    fn thread_conns(&self) -> Option<&Mutex<HashMap<u64, ConnHandle>>> {
-        match &self.delivery {
-            Delivery::Threads(registry) => Some(registry),
-            Delivery::Loop(_) => None,
-        }
-    }
-
-    /// Shuts down connections idle longer than `timeout` (threaded mode;
-    /// the event loop's timer wheel reaps its own). The socket shutdown
-    /// unblocks the reader, which then deregisters itself.
-    fn reap_idle(&self, epoch: Instant, timeout: Duration) {
-        let Some(registry) = self.thread_conns() else {
+        let Some(handle) = self.delivery.get() else {
             return;
         };
-        let now_ms = epoch.elapsed().as_millis() as u64;
-        let limit_ms = timeout.as_millis() as u64;
-        let mut conns = registry.lock();
-        conns.retain(|_, handle| {
-            let idle = now_ms.saturating_sub(handle.activity.load(Ordering::Relaxed));
-            if idle > limit_ms {
-                ServerStats::add(&self.stats.idle_reaped, 1);
-                let _ = handle.stream.shutdown(Shutdown::Both);
-                false
-            } else {
-                true
+        match handle.try_send(conn_id, line) {
+            apcm_netio::SendOutcome::Sent => {
+                ServerStats::add(&self.stats.replies_sent, 1);
             }
-        });
+            apcm_netio::SendOutcome::Full => match self.policy {
+                SlowConsumerPolicy::Drop => {
+                    ServerStats::add(&self.stats.replies_dropped, 1);
+                }
+                SlowConsumerPolicy::Disconnect => {
+                    ServerStats::add(&self.stats.slow_disconnects, 1);
+                    handle.kick(conn_id);
+                }
+            },
+            apcm_netio::SendOutcome::Gone => {}
+        }
     }
 
     /// Event-loop gauges for `STATS` rendering, in the order
     /// [`ServerStats::render`] expects: `(connections_open,
-    /// epoll_wakeups, outbound_queued_lines, conns_rejected)`. `None` in
-    /// threaded mode (the keys are elided entirely).
-    pub(crate) fn netio_gauges(&self) -> Option<(u64, u64, u64, u64)> {
-        match &self.delivery {
-            Delivery::Threads(_) => None,
-            Delivery::Loop(cell) => cell.get().map(|handle| {
-                let m = handle.metrics();
-                (
-                    m.connections_open.load(Ordering::Relaxed),
-                    m.epoll_wakeups.load(Ordering::Relaxed),
-                    m.outbound_queued_lines.load(Ordering::Relaxed),
-                    m.conns_rejected.load(Ordering::Relaxed),
-                )
-            }),
-        }
+    /// epoll_wakeups, outbound_queued_lines, conns_rejected)`. All zero
+    /// until the loop has started.
+    pub(crate) fn netio_gauges(&self) -> (u64, u64, u64, u64) {
+        self.delivery.get().map_or((0, 0, 0, 0), |handle| {
+            let m = handle.metrics();
+            (
+                m.connections_open.load(Ordering::Relaxed),
+                m.epoll_wakeups.load(Ordering::Relaxed),
+                m.outbound_queued_lines.load(Ordering::Relaxed),
+                m.conns_rejected.load(Ordering::Relaxed),
+            )
+        })
     }
 }
 
@@ -367,11 +272,9 @@ pub struct Server {
     role: Arc<RoleState>,
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// Threaded mode only; the event loop owns its own listener.
-    accept_thread: Option<JoinHandle<()>>,
-    /// Threaded mode only; the event loop's tick hook does this work.
-    maintenance_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Replica/reshard pullers and offloaded blocking requests; joined
+    /// at teardown.
+    helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     pipeline: Option<IngestPipeline>,
     event_loop: Option<apcm_netio::EventLoop>,
 }
@@ -419,10 +322,7 @@ impl Server {
             schema,
             stats: stats.clone(),
             policy: config.slow_consumer,
-            delivery: match config.io_model {
-                IoModel::Threads => Delivery::Threads(Mutex::new(HashMap::new())),
-                IoModel::EventLoop => Delivery::Loop(OnceLock::new()),
-            },
+            delivery: OnceLock::new(),
             owners: RwLock::new(HashMap::new()),
             live: RwLock::new(recovered_live),
             ownership: RwLock::new(None),
@@ -430,13 +330,10 @@ impl Server {
         let pipeline = IngestPipeline::start(engine.clone(), stats.clone(), hub.clone(), &config);
 
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let ingest_tx = pipeline.sender();
-        let epoch = Instant::now();
+        let helper_threads = Arc::new(Mutex::new(Vec::new()));
 
         let role = Arc::new(RoleState::new(match &config.replica_of {
             Some(primary) => Role::Replica {
@@ -454,7 +351,7 @@ impl Server {
                 persist: persist.clone(),
                 role: role.clone(),
                 shutdown: shutdown.clone(),
-                conn_threads: conn_threads.clone(),
+                helper_threads: helper_threads.clone(),
                 ack_every: config.repl_ack_every,
             })
         });
@@ -464,7 +361,7 @@ impl Server {
                 engine: engine.clone(),
                 persist: persist.clone(),
                 shutdown: shutdown.clone(),
-                conn_threads: conn_threads.clone(),
+                helper_threads: helper_threads.clone(),
                 ack_every: config.repl_ack_every,
                 generation: AtomicU64::new(0),
                 target: Mutex::new(None),
@@ -482,174 +379,33 @@ impl Server {
                 .spawn(role.generation());
         }
 
-        let (accept_thread, maintenance_thread, event_loop) = match config.io_model {
-            IoModel::EventLoop => {
-                // Blocking-request escape hatch: runs the job on a
-                // short-lived thread (joined with the pullers at
-                // teardown) and queues its reply on the connection's
-                // uncapped control path, exactly like an inline reply.
-                let offload = {
-                    let hub = hub.clone();
-                    let conn_threads = conn_threads.clone();
-                    Arc::new(move |conn_id: u64, job: crate::request::BlockingJob| {
-                        let hub = hub.clone();
-                        let handle = std::thread::Builder::new()
-                            .name("apcm-blocking".into())
-                            .spawn(move || {
-                                let text = job();
-                                if let Delivery::Loop(cell) = &hub.delivery {
-                                    if let Some(loop_handle) = cell.get() {
-                                        let _ = loop_handle.send(conn_id, text);
-                                        ServerStats::add(&hub.stats.replies_sent, 1);
-                                    }
-                                }
-                            })
-                            .expect("spawning blocking-request thread");
-                        conn_threads.lock().push(handle);
-                    })
-                };
-                let ctx = ConnCtx {
-                    hub: hub.clone(),
-                    engine: engine.clone(),
-                    persist: persist.clone(),
-                    ingest: ingest_tx.clone(),
-                    ingest_depth: pipeline.depth_handle(),
-                    epoch,
-                    max_line_bytes: config.max_line_bytes,
-                    role: role.clone(),
-                    runner: runner.clone(),
-                    reshard: reshard.clone(),
-                    offload: Some(offload),
-                };
-                let options = apcm_netio::LoopOptions {
-                    workers: config
-                        .loop_workers
-                        .unwrap_or_else(apcm_netio::default_workers),
-                    conn_queue: config.conn_queue,
-                    max_line_bytes: config.max_line_bytes,
-                    idle_timeout: config.idle_timeout,
-                    max_conns: config.max_conns,
-                    reject_line: Some("-ERR server busy".into()),
-                    tick_interval: Some(config.maintenance_interval),
-                    read_chunk: 64 * 1024,
-                };
-                let el = apcm_netio::EventLoop::start(
-                    listener,
-                    Arc::new(BrokerService::new(ctx)),
-                    options,
-                )?;
-                if let Delivery::Loop(cell) = &hub.delivery {
-                    let _ = cell.set(el.handle());
-                }
-                (None, None, Some(el))
-            }
-            IoModel::Threads => {
-                let accept_thread = {
-                    let hub = hub.clone();
-                    let engine = engine.clone();
-                    let persist = persist.clone();
-                    let stats = stats.clone();
-                    let shutdown = shutdown.clone();
-                    let conn_threads = conn_threads.clone();
-                    let role = role.clone();
-                    let runner = runner.clone();
-                    let reshard = reshard.clone();
-                    let conn_queue = config.conn_queue;
-                    let max_line_bytes = config.max_line_bytes;
-                    let max_conns = config.max_conns;
-                    let ingest_depth = pipeline.depth_handle();
-                    std::thread::Builder::new()
-                        .name("apcm-accept".into())
-                        .spawn(move || {
-                            let mut next_conn = 1u64;
-                            while !shutdown.load(Ordering::SeqCst) {
-                                match listener.accept() {
-                                    Ok((stream, _peer)) => {
-                                        let busy = max_conns.is_some_and(|max| {
-                                            ServerStats::get(&stats.conns_active) as usize >= max
-                                        });
-                                        if busy {
-                                            // Answered inline: the refused
-                                            // connection never gets threads
-                                            // or a registry slot.
-                                            ServerStats::add(&stats.conns_rejected, 1);
-                                            let _ = (&stream).write_all(b"-ERR server busy\n");
-                                            let _ = stream.shutdown(Shutdown::Both);
-                                            continue;
-                                        }
-                                        let conn_id = next_conn;
-                                        next_conn += 1;
-                                        ServerStats::add(&stats.conns_total, 1);
-                                        ServerStats::add(&stats.conns_active, 1);
-                                        let ctx = Arc::new(ConnCtx {
-                                            hub: hub.clone(),
-                                            engine: engine.clone(),
-                                            persist: persist.clone(),
-                                            ingest: ingest_tx.clone(),
-                                            ingest_depth: ingest_depth.clone(),
-                                            epoch,
-                                            max_line_bytes,
-                                            role: role.clone(),
-                                            runner: runner.clone(),
-                                            reshard: reshard.clone(),
-                                            offload: None,
-                                        });
-                                        spawn_connection(
-                                            ctx,
-                                            stream,
-                                            conn_id,
-                                            conn_queue,
-                                            &conn_threads,
-                                        );
-                                    }
-                                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                        std::thread::sleep(Duration::from_millis(5));
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                        })
-                        .expect("spawning accept thread")
-                };
-
-                let maintenance_thread = {
-                    let hub = hub.clone();
-                    let engine = engine.clone();
-                    let persist = persist.clone();
-                    let stats = stats.clone();
-                    let shutdown = shutdown.clone();
-                    let interval = config.maintenance_interval;
-                    let idle_timeout = config.idle_timeout;
-                    std::thread::Builder::new()
-                        .name("apcm-maintenance".into())
-                        .spawn(move || {
-                            // Sleep in small quanta so shutdown latency stays
-                            // bounded regardless of the maintenance interval.
-                            let quantum = Duration::from_millis(20).min(interval);
-                            'outer: loop {
-                                let mut waited = Duration::ZERO;
-                                while waited < interval {
-                                    if shutdown.load(Ordering::SeqCst) {
-                                        break 'outer;
-                                    }
-                                    std::thread::sleep(quantum);
-                                    waited += quantum;
-                                }
-                                let report = engine.maintain();
-                                stats.record_maintenance(&report);
-                                if let Some(persister) = &persist {
-                                    persister.maintenance_tick();
-                                }
-                                if let Some(timeout) = idle_timeout {
-                                    hub.reap_idle(epoch, timeout);
-                                }
-                            }
-                        })
-                        .expect("spawning maintenance thread")
-                };
-                (Some(accept_thread), Some(maintenance_thread), None)
-            }
+        let ctx = ConnCtx {
+            hub: hub.clone(),
+            engine: engine.clone(),
+            persist: persist.clone(),
+            ingest: pipeline.sender(),
+            ingest_depth: pipeline.depth_handle(),
+            max_line_bytes: config.max_line_bytes,
+            role: role.clone(),
+            runner,
+            reshard,
+            helper_threads: helper_threads.clone(),
         };
+        let options = apcm_netio::LoopOptions {
+            workers: config
+                .loop_workers
+                .unwrap_or_else(apcm_netio::default_workers),
+            conn_queue: config.conn_queue,
+            max_line_bytes: config.max_line_bytes,
+            idle_timeout: config.idle_timeout,
+            max_conns: config.max_conns,
+            reject_line: Some("-ERR server busy".into()),
+            tick_interval: Some(config.maintenance_interval),
+            read_chunk: 64 * 1024,
+        };
+        let event_loop =
+            apcm_netio::EventLoop::start(listener, Arc::new(BrokerService::new(ctx)), options)?;
+        let _ = hub.delivery.set(event_loop.handle());
 
         Ok(Server {
             hub,
@@ -659,11 +415,9 @@ impl Server {
             role,
             addr: local_addr,
             shutdown,
-            accept_thread,
-            maintenance_thread,
-            conn_threads,
+            helper_threads,
             pipeline: Some(pipeline),
-            event_loop,
+            event_loop: Some(event_loop),
         })
     }
 
@@ -718,30 +472,13 @@ impl Server {
     fn teardown(&mut self) -> usize {
         self.shutdown.store(true, Ordering::SeqCst);
 
-        if let Some(t) = self.maintenance_thread.take() {
-            let _ = t.join(); // exits within one sleep quantum
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join(); // exits within one poll interval
-        }
-
-        // Event-loop mode: closes every loop-served connection, joins the
-        // worker pool, and drops the service — releasing its ingest
-        // sender so the matcher below can drain to completion.
+        // Closes every connection, joins the worker pool, and drops the
+        // service — releasing its ingest sender so the matcher below can
+        // drain to completion.
         if let Some(el) = self.event_loop.take() {
             el.shutdown();
         }
-
-        // Threaded mode: closing the sockets unblocks every reader;
-        // readers drop their ingest senders and outbound queue handles on
-        // the way out.
-        if let Some(registry) = self.hub.thread_conns() {
-            let conns = registry.lock();
-            for handle in conns.values() {
-                let _ = handle.stream.shutdown(Shutdown::Both);
-            }
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conn_threads.lock());
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.helper_threads.lock());
         for t in handles {
             let _ = t.join();
         }
@@ -803,20 +540,20 @@ pub(crate) struct ReplicaRunner {
     persist: Arc<Persister>,
     role: Arc<RoleState>,
     shutdown: Arc<AtomicBool>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     ack_every: u64,
 }
 
 impl ReplicaRunner {
     /// Starts a puller for role `generation`; the handle joins with the
-    /// connection threads at shutdown.
+    /// other helper threads at shutdown.
     pub(crate) fn spawn(self: Arc<Self>, generation: u64) {
         let runner = self.clone();
         let handle = std::thread::Builder::new()
             .name(format!("apcm-replica-g{generation}"))
             .spawn(move || runner.run(generation))
             .expect("spawning replica puller");
-        self.conn_threads.lock().push(handle);
+        self.helper_threads.lock().push(handle);
     }
 
     /// The primary to follow, or `None` once this puller is obsolete
@@ -1208,7 +945,7 @@ pub(crate) struct ReshardRunner {
     engine: Arc<ShardedEngine>,
     persist: Arc<Persister>,
     shutdown: Arc<AtomicBool>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     ack_every: u64,
     /// Bumped by every `PULL`/`CUTOFF`/`DEMOTE`; a puller thread tagged
     /// with an older generation notices and exits — cutover needs no
@@ -1252,7 +989,7 @@ impl ReshardRunner {
             .name(format!("apcm-reshard-g{generation}"))
             .spawn(move || runner.run(generation))
             .expect("spawning reshard puller");
-        self.conn_threads.lock().push(handle);
+        self.helper_threads.lock().push(handle);
     }
 
     /// `RESHARD CUTOFF` (or demotion): stop pulling. The applied catalog
@@ -1606,147 +1343,6 @@ impl ReshardRunner {
                 }
                 Err(_) => return None,
             }
-        }
-    }
-}
-
-/// Spawns the reader + writer thread pair for one accepted connection.
-fn spawn_connection(
-    ctx: Arc<ConnCtx>,
-    stream: TcpStream,
-    conn_id: u64,
-    conn_queue: usize,
-    conn_threads: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let (out_tx, out_rx) = bounded::<String>(conn_queue);
-    let activity = Arc::new(AtomicU64::new(ctx.epoch.elapsed().as_millis() as u64));
-
-    let writer = {
-        let stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-        };
-        std::thread::Builder::new()
-            .name(format!("apcm-conn-{conn_id}-w"))
-            .spawn(move || write_loop(stream, out_rx))
-            .expect("spawning connection writer")
-    };
-
-    let reader = {
-        let registry_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-        };
-        ctx.hub
-            .thread_conns()
-            .expect("spawn_connection is threaded-mode only")
-            .lock()
-            .insert(
-                conn_id,
-                ConnHandle {
-                    out: out_tx.clone(),
-                    stream: registry_stream,
-                    activity: activity.clone(),
-                },
-            );
-        std::thread::Builder::new()
-            .name(format!("apcm-conn-{conn_id}-r"))
-            .spawn(move || {
-                read_loop(&ctx, stream, conn_id, out_tx, &activity);
-                // Cleanup: deregister and release the writer. If this
-                // connection was a replication feed, drop its follower
-                // slot so the lag gauge stops tracking it.
-                if let Some(p) = &ctx.persist {
-                    p.remove_follower(conn_id);
-                }
-                if let Some(registry) = ctx.hub.thread_conns() {
-                    registry.lock().remove(&conn_id);
-                }
-                ServerStats::sub(&ctx.hub.stats.conns_active, 1);
-            })
-            .expect("spawning connection reader")
-    };
-
-    let mut threads = conn_threads.lock();
-    threads.push(writer);
-    threads.push(reader);
-}
-
-fn write_loop(stream: TcpStream, out_rx: Receiver<String>) {
-    let mut w = BufWriter::new(stream);
-    while let Ok(line) = out_rx.recv() {
-        if w.write_all(line.as_bytes()).is_err() || w.write_all(b"\n").is_err() {
-            return;
-        }
-        // Batch flushes: only force the buffer out when the queue is idle.
-        if out_rx.is_empty() && w.flush().is_err() {
-            return;
-        }
-    }
-    let _ = w.flush();
-}
-
-/// Frames capped lines off the socket and feeds them to the shared
-/// dispatcher until EOF, error, or the dispatcher closes the connection.
-fn read_loop(
-    ctx: &ConnCtx,
-    stream: TcpStream,
-    conn_id: u64,
-    out: Sender<String>,
-    activity: &AtomicU64,
-) {
-    let stats = ctx.hub.stats.clone();
-    let max_line = ctx.max_line_bytes;
-    // Source for the follower face a `REPLICATE` handshake materializes;
-    // cloned up front because the stream itself moves into the reader.
-    let follower_src = stream.try_clone().ok();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut state = ConnState::default();
-    let out_follower = out.clone();
-    let mut make_follower = move || -> std::io::Result<Box<dyn FollowerConn>> {
-        let stream = follower_src
-            .as_ref()
-            .ok_or_else(|| std::io::Error::other("connection stream unavailable"))?
-            .try_clone()?;
-        Ok(Box::new(ThreadedFollower {
-            out: out_follower.clone(),
-            stream,
-        }))
-    };
-    // Control replies go through the same queue as async results; a
-    // blocking send here only ever waits on this connection's own writer.
-    let mut reply = |text: String| {
-        let _ = out.send(text);
-        ServerStats::add(&stats.replies_sent, 1);
-    };
-    loop {
-        let input = match read_capped_line(&mut reader, &mut line, max_line) {
-            Ok(LineOutcome::Line) => {
-                activity.store(ctx.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-                LineInput::Text(&line)
-            }
-            Ok(LineOutcome::TooLong) => LineInput::TooLong,
-            Ok(LineOutcome::Eof) | Err(_) => return,
-        };
-        let flow = on_conn_line(
-            ctx,
-            conn_id,
-            &mut state,
-            input,
-            &mut reply,
-            &mut make_follower,
-        );
-        if flow == Flow::Close {
-            return;
         }
     }
 }

@@ -13,7 +13,6 @@ use std::sync::{Arc, OnceLock};
 
 use apcm_netio::{CloseReason, ConnId, Line, LoopHandle, SendOutcome, Service, Verdict};
 
-use crate::broker::Delivery;
 use crate::replication::FollowerConn;
 use crate::request::{on_conn_line, ConnCtx, ConnState, Flow, LineInput};
 use crate::stats::ServerStats;
@@ -57,9 +56,7 @@ impl Service for BrokerService {
         // `Server::start` sets it right after `EventLoop::start` returns,
         // but a connection accepted in that gap could PUB and need its
         // RESULT routed before the cell is otherwise populated.
-        if let Delivery::Loop(cell) = &self.ctx.hub.delivery {
-            let _ = cell.set(handle.clone());
-        }
+        let _ = self.ctx.hub.delivery.set(handle.clone());
         ServerStats::add(&self.ctx.hub.stats.conns_total, 1);
         ServerStats::add(&self.ctx.hub.stats.conns_active, 1);
         ConnState::default()
@@ -74,10 +71,9 @@ impl Service for BrokerService {
         let stats = self.ctx.hub.stats.clone();
         let reply_handle = handle.clone();
         let mut reply = move |text: String| {
-            // Control replies ride the uncapped path: the threaded broker
-            // blocks its reader on the connection's own bounded queue, but
-            // a loop worker must never stall on one connection — the queue
-            // is drained by EPOLLOUT regardless.
+            // Control replies ride the uncapped path: a loop worker must
+            // never stall on one connection — the queue is drained by
+            // EPOLLOUT regardless.
             let _ = reply_handle.send(conn, text);
             ServerStats::add(&stats.replies_sent, 1);
         };
@@ -116,9 +112,9 @@ impl Service for BrokerService {
         }
     }
 
-    /// The loop-mode maintenance sweep (the threaded broker runs the
-    /// same work on its dedicated maintenance thread); idle reaping is
-    /// the loop's own timer wheel's job.
+    /// The maintenance sweep: every shard's `maintain()` and the
+    /// persister's tick. Idle reaping is the loop's own timer wheel's
+    /// job.
     fn on_tick(&self) {
         let report = self.ctx.engine.maintain();
         self.ctx.hub.stats.record_maintenance(&report);

@@ -1,22 +1,20 @@
-//! Per-connection protocol executor, shared by both broker I/O models.
+//! Per-connection protocol executor.
 //!
-//! The threaded broker's reader thread and the event-loop broker's
-//! `Service::on_line` both funnel every framed line through
-//! [`on_conn_line`], so the wire protocol — reply text, counter bumps,
-//! ack-before-submit ordering, batch framing — is defined exactly once.
-//! `BATCH` payload lines, which the threaded broker used to consume with
-//! an inner read loop, are modeled as connection state instead: a
+//! The event-loop broker's `Service::on_line` funnels every framed line
+//! through [`on_conn_line`], so the wire protocol — reply text, counter
+//! bumps, ack-before-submit ordering, batch framing — is defined exactly
+//! once. `BATCH` payload lines are modeled as connection state: a
 //! [`ConnState`] in batch mode routes the next `count` lines into the
-//! accumulator and acks only when the batch completes, which behaves
-//! identically whether lines arrive from a blocking reader or an epoll
-//! readiness callback.
+//! accumulator and acks only when the batch completes, so a batch may
+//! span any number of readiness callbacks.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread::JoinHandle;
 
 use apcm_bexpr::Event;
 use crossbeam::channel::{Receiver, Sender};
+use parking_lot::Mutex;
 
 use crate::broker::{sub_fingerprint, Hub, ReplicaRunner, ReshardRunner};
 use crate::ingest::IngestItem;
@@ -28,13 +26,9 @@ use crate::ring::RingScope;
 use crate::shard::ShardedEngine;
 use crate::stats::ServerStats;
 
-/// A slow request body executed off the dispatching thread; its returned
-/// reply line is queued on the connection when it completes.
-pub(crate) type BlockingJob = Box<dyn FnOnce() -> String + Send>;
-
 /// Everything the dispatcher needs to execute requests for a connection.
-/// One instance is shared by every connection (threaded mode wraps it in
-/// an `Arc` per accept; the event-loop service owns a single copy).
+/// One instance, owned by the event-loop service, is shared by every
+/// connection.
 pub(crate) struct ConnCtx {
     pub(crate) hub: Arc<Hub>,
     pub(crate) engine: Arc<ShardedEngine>,
@@ -42,7 +36,6 @@ pub(crate) struct ConnCtx {
     pub(crate) ingest: Sender<IngestItem>,
     /// Receiver clone used only for `len()` (queue depth in `STATS`).
     pub(crate) ingest_depth: Receiver<IngestItem>,
-    pub(crate) epoch: Instant,
     pub(crate) max_line_bytes: usize,
     pub(crate) role: Arc<RoleState>,
     /// Spawns replica puller threads on `DEMOTE`; `None` without
@@ -51,15 +44,32 @@ pub(crate) struct ConnCtx {
     /// Drives `RESHARD PULL` migration streams; `None` without
     /// persistence (resharding requires a durable catalog).
     pub(crate) reshard: Option<Arc<ReshardRunner>>,
-    /// Runs a long-blocking request (`SNAPSHOT`'s compress + write) off
-    /// the dispatching thread. `None` executes inline — correct for the
-    /// threaded broker, whose reader thread serves only one connection;
-    /// a loop worker serves many, so stalling it would head-of-line
-    /// block every connection pinned to it.
-    pub(crate) offload: Option<Arc<dyn Fn(u64, BlockingJob) + Send + Sync>>,
+    /// Threads running [`offload`]ed requests; the server joins them
+    /// with the pullers at teardown.
+    pub(crate) helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
-/// One framed inbound line, I/O-model agnostic.
+/// Runs a long-blocking request (`SNAPSHOT`'s compress + write) on a
+/// short-lived helper thread and queues its reply on the connection's
+/// uncapped control path, exactly like an inline reply: a loop worker
+/// serves many connections, so stalling it would head-of-line block
+/// every connection pinned to it.
+fn offload(ctx: &ConnCtx, conn_id: u64, job: impl FnOnce() -> String + Send + 'static) {
+    let hub = ctx.hub.clone();
+    let handle = std::thread::Builder::new()
+        .name("apcm-blocking".into())
+        .spawn(move || {
+            let text = job();
+            if let Some(loop_handle) = hub.delivery.get() {
+                let _ = loop_handle.send(conn_id, text);
+                ServerStats::add(&hub.stats.replies_sent, 1);
+            }
+        })
+        .expect("spawning blocking-request thread");
+    ctx.helper_threads.lock().push(handle);
+}
+
+/// One framed inbound line.
 pub(crate) enum LineInput<'a> {
     Text(&'a str),
     /// The line exceeded `max_line_bytes` and was discarded through its
@@ -339,10 +349,7 @@ pub(crate) fn on_conn_line(
                     ),
                     Err(e) => format!("-ERR snapshot failed: {e}"),
                 };
-                match &ctx.offload {
-                    Some(offload) => offload(conn_id, Box::new(job)),
-                    None => reply(job()),
-                }
+                offload(ctx, conn_id, job);
             }
             None => {
                 ServerStats::add(&stats.protocol_errors, 1);

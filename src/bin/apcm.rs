@@ -18,7 +18,7 @@ use apcm::core::{ApcmConfig, ApcmMatcher, PcmMatcher};
 use apcm::prelude::*;
 use apcm::server::client::{connect_stream, is_timeout_error, ConnectOptions};
 use apcm::server::{
-    EngineChoice, FsyncPolicy, IoModel, PersistConfig, Server, ServerConfig, SlowConsumerPolicy,
+    EngineChoice, FsyncPolicy, PersistConfig, Server, ServerConfig, SlowConsumerPolicy,
 };
 use apcm::workload::{Trace, ValueDist, WorkloadSpec};
 use std::collections::HashMap;
@@ -26,33 +26,60 @@ use std::io::BufRead;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+
+/// Every subcommand with the exact (space-separated) set of flags it
+/// reads; any other flag is rejected before the command runs.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    (
+        "gen",
+        cmd_gen,
+        "subs events dims cardinality preds event-size planted zipf seed out",
+    ),
+    ("match", cmd_match, "trace engine batch limit"),
+    ("stats", cmd_stats, "trace"),
+    (
+        "serve",
+        cmd_serve,
+        "addr dims cardinality shards engine window queue flush-ms maintenance-ms \
+         slow-consumer persist-dir fsync snapshot-secs snapshot-format max-delta-chain \
+         rotate-bytes idle-timeout-ms max-line-bytes loop-workers max-conns replica-of",
+    ),
+    (
+        "route",
+        cmd_route,
+        "backends addr dims cardinality health-ms probe-timeout-ms connect-timeout-ms \
+         read-timeout-ms queue max-line-bytes replicas",
+    ),
+    (
+        "client",
+        cmd_client,
+        "addr connect-timeout-ms read-timeout-ms retries",
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(rest) {
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, run, known)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        eprintln!("error: unknown command `{command}`");
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(rest, known) {
         Ok(f) => f,
         Err(msg) => {
             eprintln!("error: {msg}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "gen" => cmd_gen(&flags),
-        "match" => cmd_match(&flags),
-        "stats" => cmd_stats(&flags),
-        "serve" => cmd_serve(&flags),
-        "route" => cmd_route(&flags),
-        "client" => cmd_client(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match result {
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -74,7 +101,7 @@ usage:
              [--persist-dir DIR] [--fsync always|interval|never] [--snapshot-secs N]
              [--snapshot-format colstore|text] [--max-delta-chain N]
              [--rotate-bytes N] [--idle-timeout-ms N] [--max-line-bytes N]
-             [--io-model event-loop|threads] [--loop-workers N] [--max-conns N]
+             [--loop-workers N] [--max-conns N]
              [--replica-of HOST:PORT]  (start as a read-only follower; needs --persist-dir)
   apcm route --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT] [--dims N]
              [--cardinality N] [--health-ms N] [--probe-timeout-ms N]
@@ -88,13 +115,18 @@ usage:
              [--retries N]
              (reads protocol lines from stdin)";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--name value` pairs, refusing any name outside the
+/// space-separated `known` list.
+fn parse_flags(args: &[String], known: &str) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, found `{flag}`"));
         };
+        if !known.split_whitespace().any(|k| k == name) {
+            return Err(format!("unknown flag --{name}"));
+        }
         let value = iter
             .next()
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -249,9 +281,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if idle_ms > 0 {
         config.idle_timeout = Some(Duration::from_millis(idle_ms));
     }
-    if let Some(model) = flags.get("io-model") {
-        config.io_model = IoModel::parse(model)?;
-    }
     let max_conns: usize = get(flags, "max-conns", 0)?;
     if max_conns > 0 {
         config.max_conns = Some(max_conns);
@@ -280,13 +309,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     config.validate()?;
 
     let following = config.replica_of.clone();
-    let io_model = config.io_model.name();
     let server = Server::start(schema, config, &addr).map_err(|e| e.to_string())?;
     if let Some(report) = server.recovery_report() {
         print!("{report}");
     }
     println!(
-        "listening on {} ({} shards, engine {}, {io_model} io); \
+        "listening on {} ({} shards, engine {}, event-loop io); \
          close stdin or type `stop` to shut down",
         server.local_addr(),
         server.engine().shard_count(),
@@ -517,4 +545,74 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
         stats.heap_bytes
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn known(command: &str) -> &'static str {
+        COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == command)
+            .map(|&(_, _, flags)| flags)
+            .unwrap()
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let serve = known("serve");
+        let err = parse_flags(&args("--addr 127.0.0.1:0 --persist-dri /tmp/pd"), serve);
+        assert_eq!(err.unwrap_err(), "unknown flag --persist-dri");
+        // A flag one command reads is still unknown to another.
+        let err = parse_flags(&args("--backends 127.0.0.1:1"), serve);
+        assert_eq!(err.unwrap_err(), "unknown flag --backends");
+    }
+
+    #[test]
+    fn benchmark_command_lines_parse() {
+        let serve = "--dims 6 --cardinality 512 --persist-dir d --replica-of 127.0.0.1:1 \
+                     --addr 127.0.0.1:0";
+        let flags = parse_flags(&args(serve), known("serve")).unwrap();
+        assert_eq!(flags["persist-dir"], "d");
+        let route = "--dims 6 --cardinality 512 --backends a,b,c --queue 8192 \
+                     --replicas f1,f2,f3 --addr 127.0.0.1:0";
+        let flags = parse_flags(&args(route), known("route")).unwrap();
+        assert_eq!(flags["queue"], "8192");
+    }
+
+    /// The accepted set of each command is exactly the set its usage text
+    /// documents, so neither can drift from the other.
+    #[test]
+    fn accepted_flags_match_usage_text() {
+        let mut sections: Vec<(&str, Vec<String>)> = Vec::new();
+        for line in USAGE.lines().skip(1) {
+            if let Some(rest) = line.trim_start().strip_prefix("apcm ") {
+                let name = rest.split_whitespace().next().unwrap();
+                sections.push((name, Vec::new()));
+            }
+            let (_, flags) = sections.last_mut().unwrap();
+            for token in line.split("--").skip(1) {
+                let name: String = token
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                if !flags.contains(&name) {
+                    flags.push(name);
+                }
+            }
+        }
+        assert_eq!(sections.len(), COMMANDS.len());
+        for (name, mut documented) in sections {
+            let mut accepted: Vec<String> =
+                known(name).split_whitespace().map(String::from).collect();
+            documented.sort();
+            accepted.sort();
+            assert_eq!(documented, accepted, "flags of `apcm {name}`");
+        }
+    }
 }
