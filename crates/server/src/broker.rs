@@ -11,7 +11,7 @@
 //! Every inbound line goes through one dispatcher
 //! ([`crate::request::on_conn_line`]). The **matcher** thread inside
 //! [`IngestPipeline`] and the outbound replication/reshard pullers
-//! ([`ReplicaRunner`], [`ReshardRunner`]) are dedicated threads.
+//! ([`StreamFollower`]) are dedicated threads.
 //!
 //! Subscriptions are durable within a run: a closed connection keeps its
 //! subscriptions live (notifications for them are silently discarded until
@@ -28,7 +28,7 @@
 
 use apcm_bexpr::{Schema, SubId, Subscription};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,7 +41,7 @@ use crate::client::{connect_stream, ConnectOptions};
 use crate::config::{ServerConfig, SlowConsumerPolicy};
 use crate::event_broker::BrokerService;
 use crate::ingest::{IngestItem, IngestPipeline, ResultSink};
-use crate::persist::log::{parse_frame, ReplayOp};
+use crate::persist::log::{parse_frame, ReplayOp, ReplayRecord};
 use crate::persist::{Persister, RecoveryReport};
 use crate::protocol::{self, ReplicateStart};
 use crate::replication::{Role, RoleState};
@@ -59,51 +59,6 @@ pub(crate) fn sub_fingerprint(sub: &Subscription) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     sub.hash(&mut h);
     h.finish()
-}
-
-/// Decodes one `BLOCK <partition> <rows> <raw_len> <crc8hex> <base64>`
-/// line of a colstore replication bootstrap into subscriptions. Every
-/// failure mode (bad framing, base64 damage, CRC mismatch, columnar
-/// decode error, unparseable expression) is just an error string — the
-/// caller drops the connection and refetches the whole bootstrap.
-fn decode_bootstrap_block(line: &str, schema: &Schema) -> Result<Vec<Subscription>, String> {
-    let rest = line.strip_prefix("BLOCK ").ok_or("not a BLOCK line")?;
-    let mut parts = rest.split_whitespace();
-    let partition: u32 = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or("missing partition")?;
-    let rows: u32 = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or("missing row count")?;
-    let raw_len: u32 = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or("missing raw_len")?;
-    let crc: u32 = parts
-        .next()
-        .and_then(|t| u32::from_str_radix(t, 16).ok())
-        .ok_or("missing crc")?;
-    let data = apcm_colstore::b64::decode(parts.next().ok_or("missing payload")?)
-        .map_err(|e| e.to_string())?;
-    if parts.next().is_some() {
-        return Err("trailing tokens on BLOCK line".into());
-    }
-    let block = apcm_colstore::CompressedBlock {
-        partition,
-        rows,
-        min_id: 0,
-        max_id: 0,
-        raw_len,
-        crc,
-        data,
-    };
-    let decoded = block.decode().map_err(|e| e.to_string())?;
-    decoded
-        .iter()
-        .map(|row| crate::persist::snapshot::row_to_sub(row, schema).map_err(|e| e.to_string()))
-        .collect()
 }
 
 /// State shared by every thread: the event loop's handle and
@@ -272,7 +227,7 @@ pub struct Server {
     role: Arc<RoleState>,
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// Replica/reshard pullers and offloaded blocking requests; joined
+    /// Stream followers and offloaded blocking requests; joined
     /// at teardown.
     helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     pipeline: Option<IngestPipeline>,
@@ -344,8 +299,8 @@ impl Server {
         stats
             .role_replica
             .store(u64::from(config.replica_of.is_some()), Ordering::Relaxed);
-        let runner = persist.as_ref().map(|persist| {
-            Arc::new(ReplicaRunner {
+        let follower = persist.as_ref().map(|persist| {
+            Arc::new(StreamFollower {
                 hub: hub.clone(),
                 engine: engine.clone(),
                 persist: persist.clone(),
@@ -353,30 +308,19 @@ impl Server {
                 shutdown: shutdown.clone(),
                 helper_threads: helper_threads.clone(),
                 ack_every: config.repl_ack_every,
-            })
-        });
-        let reshard = persist.as_ref().map(|persist| {
-            Arc::new(ReshardRunner {
-                hub: hub.clone(),
-                engine: engine.clone(),
-                persist: persist.clone(),
-                shutdown: shutdown.clone(),
-                helper_threads: helper_threads.clone(),
-                ack_every: config.repl_ack_every,
-                generation: AtomicU64::new(0),
+                pull_generation: AtomicU64::new(0),
                 target: Mutex::new(None),
                 cursor: AtomicU64::new(0),
-                connected: AtomicU64::new(0),
+                pull_connected: AtomicU64::new(0),
             })
         });
         if config.replica_of.is_some() {
             // Replica mode requires persistence (validated above), so the
-            // runner exists; pull from the configured primary right away.
-            runner
+            // follower exists; pull from the configured primary right away.
+            follower
                 .as_ref()
                 .expect("replica mode requires persistence")
-                .clone()
-                .spawn(role.generation());
+                .follow_primary(role.generation());
         }
 
         let ctx = ConnCtx {
@@ -387,8 +331,7 @@ impl Server {
             ingest_depth: pipeline.depth_handle(),
             max_line_bytes: config.max_line_bytes,
             role: role.clone(),
-            runner,
-            reshard,
+            follower,
             helper_threads: helper_threads.clone(),
         };
         let options = apcm_netio::LoopOptions {
@@ -527,391 +470,6 @@ impl Server {
     }
 }
 
-/// Drives replica mode: a puller thread that dials the primary, performs
-/// the `REPLICATE <from_seq>` handshake, and applies the streamed churn
-/// frames to the local engine + persistence. One runner exists per server
-/// (when persistence is on); each `DEMOTE` spawns a fresh puller tagged
-/// with the role generation, and stale pullers notice the generation
-/// moved on and exit — `PROMOTE` therefore stops replication without any
-/// extra signalling.
-pub(crate) struct ReplicaRunner {
-    hub: Arc<Hub>,
-    engine: Arc<ShardedEngine>,
-    persist: Arc<Persister>,
-    role: Arc<RoleState>,
-    shutdown: Arc<AtomicBool>,
-    helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    ack_every: u64,
-}
-
-impl ReplicaRunner {
-    /// Starts a puller for role `generation`; the handle joins with the
-    /// other helper threads at shutdown.
-    pub(crate) fn spawn(self: Arc<Self>, generation: u64) {
-        let runner = self.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("apcm-replica-g{generation}"))
-            .spawn(move || runner.run(generation))
-            .expect("spawning replica puller");
-        self.helper_threads.lock().push(handle);
-    }
-
-    /// The primary to follow, or `None` once this puller is obsolete
-    /// (server shutting down, role flipped, or a newer generation took
-    /// over).
-    fn primary(&self, generation: u64) -> Option<String> {
-        if self.shutdown.load(Ordering::SeqCst) || self.role.generation() != generation {
-            return None;
-        }
-        self.role.primary_addr()
-    }
-
-    fn run(&self, generation: u64) {
-        let stats = &self.hub.stats;
-        let options = ConnectOptions {
-            connect_timeout: Some(Duration::from_millis(500)),
-            // Short read quanta keep shutdown/demotion latency bounded and
-            // double as the keepalive-REPLACK cadence while idle.
-            read_timeout: Some(Duration::from_millis(250)),
-            attempts: 1,
-            ..ConnectOptions::default()
-        };
-        let mut connected_before = false;
-        let mut failures = 0u32;
-        // Set when a truncate handshake's CRC probe failed: the next dial
-        // sends a trailing `reset` to force the wholesale bootstrap.
-        let mut force_reset = false;
-        loop {
-            let Some(primary) = self.primary(generation) else {
-                stats.repl_connected.store(0, Ordering::Relaxed);
-                return;
-            };
-            match connect_stream(&primary, &options) {
-                Ok(stream) => {
-                    if connected_before {
-                        ServerStats::add(&stats.repl_reconnects, 1);
-                    }
-                    connected_before = true;
-                    failures = 0;
-                    self.follow(generation, stream, &mut force_reset);
-                    stats.repl_connected.store(0, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    failures = failures.saturating_add(1).min(8);
-                    let deadline = Instant::now() + options.delay_before_retry(failures);
-                    while Instant::now() < deadline {
-                        if self.primary(generation).is_none() {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                }
-            }
-        }
-    }
-
-    /// One connected stint against the primary: handshake, optional
-    /// snapshot bootstrap, then the live frame tail. Returning (for any
-    /// reason) sends control back to `run`, which redials from the
-    /// current applied seq — so every exit path is also the repair path.
-    fn follow(&self, generation: u64, stream: TcpStream, force_reset: &mut bool) {
-        let stats = &self.hub.stats;
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let mut reader = BufReader::new(stream);
-        let mut pending = String::new();
-        let mut applied = self.persist.current_seq();
-        // `v2` advertises that this follower can decode a compressed
-        // colstore bootstrap; a primary on the text snapshot format still
-        // answers with the plain-frame form. `reset` (one-shot, after a
-        // failed truncate CRC probe) forces the wholesale bootstrap.
-        let reset = if std::mem::take(force_reset) {
-            " reset"
-        } else {
-            ""
-        };
-        if writer
-            .write_all(format!("REPLICATE {applied} v2{reset}\n").as_bytes())
-            .is_err()
-        {
-            return;
-        }
-
-        let Some(header) =
-            self.next_line(generation, &mut reader, &mut pending, &mut writer, applied)
-        else {
-            return;
-        };
-        let start = match protocol::parse_replicate_header(&header) {
-            Ok(start) => start,
-            // `-ERR` (e.g. the peer lost persistence) or garbage: redial.
-            Err(_) => return,
-        };
-
-        // Full bootstrap (either form): our log position is useless to
-        // the primary (predates its retained log, or is ahead of it after
-        // a failed promote). Collect the whole catalog image first; any
-        // corrupt frame or block poisons the image, so abort and redial —
-        // the refetch starts from scratch, skipping nothing — rather than
-        // install a catalog with holes.
-        let bootstrap: Option<(Vec<Subscription>, u64)> = match start {
-            ReplicateStart::Log { .. } => None,
-            ReplicateStart::Snapshot { subs: count, seq } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let Some(line) =
-                        self.next_line(generation, &mut reader, &mut pending, &mut writer, applied)
-                    else {
-                        return;
-                    };
-                    match parse_frame(&line, &self.hub.schema) {
-                        Ok(record) => match record.op {
-                            ReplayOp::Sub(sub) => subs.push(sub),
-                            ReplayOp::Unsub(_) => return,
-                        },
-                        Err(_) => {
-                            ServerStats::add(&stats.repl_crc_skipped, 1);
-                            return;
-                        }
-                    }
-                }
-                Some((subs, seq))
-            }
-            ReplicateStart::Colstore {
-                blocks,
-                subs: count,
-                seq,
-            } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..blocks {
-                    let Some(line) =
-                        self.next_line(generation, &mut reader, &mut pending, &mut writer, applied)
-                    else {
-                        return;
-                    };
-                    match decode_bootstrap_block(&line, &self.hub.schema) {
-                        Ok(mut block_subs) => subs.append(&mut block_subs),
-                        Err(_) => {
-                            // CRC/format damage on the wire: counted like
-                            // a corrupt streamed frame, connection dropped,
-                            // whole bootstrap refetched on reconnect.
-                            ServerStats::add(&stats.repl_crc_skipped, 1);
-                            return;
-                        }
-                    }
-                }
-                if subs.len() != count {
-                    ServerStats::add(&stats.repl_crc_skipped, 1);
-                    return;
-                }
-                Some((subs, seq))
-            }
-            ReplicateStart::Truncate { seq, crc } => {
-                // Covered-suffix rewind: our history is ahead of the
-                // primary's (an unacked suffix from an old promotion).
-                // Verify our own frame at `seq` carries the CRC the
-                // primary announced; a match proves the histories agree
-                // up to `seq`, so the suffix can be discarded locally
-                // with zero transferred state. A mismatch (or a missing
-                // frame) means divergence — redial with `reset` for the
-                // wholesale bootstrap.
-                if self.persist.local_frame_crc(seq) != Some(crc) {
-                    *force_reset = true;
-                    return;
-                }
-                match self.persist.rewind_to(&self.engine, seq) {
-                    Ok(subs) => {
-                        let fresh: HashMap<SubId, u64> = subs
-                            .iter()
-                            .map(|sub| (sub.id(), sub_fingerprint(sub)))
-                            .collect();
-                        self.hub
-                            .owners
-                            .write()
-                            .retain(|id, _| fresh.contains_key(id));
-                        *self.hub.live.write() = fresh;
-                        applied = seq;
-                        stats.repl_applied_seq.store(applied, Ordering::Relaxed);
-                        if writer
-                            .write_all(format!("REPLACK {applied}\n").as_bytes())
-                            .is_err()
-                        {
-                            return;
-                        }
-                        None
-                    }
-                    Err(_) => {
-                        *force_reset = true;
-                        return;
-                    }
-                }
-            }
-        };
-        if let Some((subs, seq)) = bootstrap {
-            let fresh: HashMap<SubId, u64> = subs
-                .iter()
-                .map(|sub| (sub.id(), sub_fingerprint(sub)))
-                .collect();
-            if self
-                .persist
-                .bootstrap_replace(&self.engine, subs, seq)
-                .is_err()
-            {
-                return;
-            }
-            // The engine + catalog were swapped wholesale; mirror that in
-            // the hub so CLAIM liveness and notification routing agree
-            // with what is actually matchable.
-            self.hub
-                .owners
-                .write()
-                .retain(|id, _| fresh.contains_key(id));
-            *self.hub.live.write() = fresh;
-            applied = seq;
-            stats.repl_applied_seq.store(applied, Ordering::Relaxed);
-            ServerStats::add(&stats.repl_bootstraps, 1);
-            let _ = writer.write_all(format!("REPLACK {applied}\n").as_bytes());
-        }
-        // Flip the gauge only now that any bootstrap/rewind has resolved:
-        // `connected 1` in this node's `ROLE` report certifies "history
-        // reconciled with the upstream", which is what the router's
-        // follower-read eligibility check leans on — a returned
-        // ex-primary mid-bootstrap must not look readable.
-        stats.repl_connected.store(1, Ordering::Relaxed);
-
-        let mut since_ack = 0u64;
-        loop {
-            let Some(line) =
-                self.next_line(generation, &mut reader, &mut pending, &mut writer, applied)
-            else {
-                return;
-            };
-            let record = match parse_frame(&line, &self.hub.schema) {
-                Ok(record) => record,
-                Err(_) => {
-                    // A framed-but-corrupt record is never applied. Drop
-                    // the connection instead of skipping past it: the
-                    // reconnect handshake (`REPLICATE <applied>`) refetches
-                    // the record from the primary's durable log, so no
-                    // hole survives wire corruption.
-                    ServerStats::add(&stats.repl_crc_skipped, 1);
-                    return;
-                }
-            };
-            if record.seq <= applied {
-                continue; // backlog/live overlap around the handshake
-            }
-            match self.persist.apply_replicated(&self.engine, &line, &record) {
-                Ok(true) => {
-                    match &record.op {
-                        ReplayOp::Sub(sub) => {
-                            self.hub.live.write().insert(sub.id(), sub_fingerprint(sub));
-                        }
-                        ReplayOp::Unsub(id) => {
-                            self.hub.live.write().remove(id);
-                            self.hub.owners.write().remove(id);
-                        }
-                    }
-                    applied = record.seq;
-                    stats.repl_applied_seq.store(applied, Ordering::Relaxed);
-                    since_ack += 1;
-                    // Pipelined acks: while more records are already
-                    // readable on the stream they will be applied in this
-                    // same drain, so hold the ack and send one line at
-                    // the drain boundary — `ack_every` caps how long a
-                    // continuous burst can go unacknowledged.
-                    let more_buffered = burst_continues(&mut reader);
-                    if since_ack >= self.ack_every || !more_buffered {
-                        if since_ack > 1 {
-                            ServerStats::add(&stats.replacks_pipelined, 1);
-                        }
-                        since_ack = 0;
-                        if writer
-                            .write_all(format!("REPLACK {applied}\n").as_bytes())
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-                Ok(false) => {
-                    applied = applied.max(record.seq);
-                }
-                // Local persistence is degraded; redial after backoff so
-                // the append retries rather than silently dropping churn.
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Reads the next complete line, tolerating read-timeout ticks. Each
-    /// idle tick re-checks the stop conditions and sends a keepalive
-    /// `REPLACK` so the primary's lag gauge stays fresh. `None` means the
-    /// stream ended or this puller should stop.
-    fn next_line(
-        &self,
-        generation: u64,
-        reader: &mut BufReader<TcpStream>,
-        pending: &mut String,
-        writer: &mut TcpStream,
-        applied: u64,
-    ) -> Option<String> {
-        loop {
-            self.primary(generation)?;
-            match reader.read_line(pending) {
-                Ok(0) => return None,
-                Ok(_) => {
-                    if pending.ends_with('\n') {
-                        let line = pending.trim_end().to_string();
-                        pending.clear();
-                        return Some(line);
-                    }
-                    // Unterminated tail: EOF follows on the next read.
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if writer
-                        .write_all(format!("REPLACK {applied}\n").as_bytes())
-                        .is_err()
-                    {
-                        return None;
-                    }
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-}
-
-/// Whether the replication burst being drained continues: another frame
-/// is already buffered, or the kernel socket buffer has more bytes ready
-/// right now. The `BufReader` buffer alone is not a drain boundary — a
-/// burst larger than one buffer fill (8KB default) looks "drained" at
-/// every buffer edge, which would ack far more often than `ack_every`
-/// intends — so when the buffer is quiet, peek the socket with a
-/// momentary non-blocking fill: `WouldBlock` is the genuine boundary.
-fn burst_continues(reader: &mut BufReader<TcpStream>) -> bool {
-    if reader.buffer().contains(&b'\n') {
-        return true;
-    }
-    // A non-empty buffer without a newline is a torn frame: its tail is
-    // in flight, so the fill below reports the burst continuing (either
-    // from fresh bytes or the buffered remainder) and the ack holds —
-    // the idle keepalive still bounds how long that can last.
-    if reader.get_ref().set_nonblocking(true).is_err() {
-        return false;
-    }
-    let ready = matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty());
-    let _ = reader.get_ref().set_nonblocking(false);
-    ready
-}
-
 /// What a `RESHARD PULL` told us to migrate: the donor to dial, the ring
 /// subset to keep out of its catalog, and (optionally) the donor's
 /// old-ring ownership, which bounds the bootstrap reconcile.
@@ -922,45 +480,76 @@ struct PullTarget {
     donor: Option<RingScope>,
 }
 
-/// Drives the receiving side of a live partition migration (`RESHARD
-/// PULL`): a puller thread dials the donor, performs a **scoped**
-/// `REPLICATE ... ring` handshake, and applies the owned subset of the
-/// stream through the **local** churn path.
-///
-/// Differences from [`ReplicaRunner`], which it otherwise mirrors:
-///
-/// * Applied records mint **local** seqs via [`Persister::apply_sub`] —
-///   the donor's seq domain is never copied into this node's log, so the
-///   node stays a normal primary (serving churn, feeding its own standby)
-///   throughout the migration.
-/// * Progress is a **source-seq cursor** (`cursor`), advanced across
-///   *every* streamed frame — owned or not — so the `REPLACK`s it sends
-///   stay comparable with the donor's log seq. That comparability is what
-///   the router's double-write floor handshake relies on.
-/// * The cursor survives re-`PULL`s that carry the same scope (a donor
-///   failover changes the address, not the leg), and is reset when the
-///   scope changes (a different leg).
-pub(crate) struct ReshardRunner {
+/// What one follower thread tails, and how it applies what it reads.
+/// Each policy is tagged with the generation it was spawned for; a thread
+/// whose generation moved on notices and exits, so `PROMOTE`, `DEMOTE`,
+/// `RESHARD PULL` and `RESHARD CUTOFF` need no extra signalling.
+enum Policy {
+    /// Replication from the role's primary. The node mirrors the
+    /// primary's log verbatim (donor seqs), a bootstrap replaces its
+    /// catalog wholesale, and a `truncate` answer rewinds it locally.
+    Replica { generation: u64 },
+    /// The receiving side of a live partition migration. The node stays a
+    /// normal primary throughout: owned frames are applied through the
+    /// **local** churn path (local seqs), so the donor's seq domain never
+    /// enters this node's log. Progress is a **source-seq cursor**,
+    /// advanced across *every* streamed frame — owned or not — so the
+    /// `REPLACK`s stay comparable with the donor's log seq, which the
+    /// router's double-write floor handshake relies on. A bootstrap is
+    /// additive: the node keeps serving its existing catalog.
+    Pull { generation: u64, target: PullTarget },
+}
+
+/// One connected upstream stream.
+struct Link {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    /// A line a read timeout interrupted part-way.
+    pending: String,
+}
+
+impl Link {
+    fn ack(&mut self, seq: u64) -> Option<()> {
+        self.writer
+            .write_all(format!("REPLACK {seq}\n").as_bytes())
+            .ok()
+    }
+}
+
+/// Keeps this node's catalog in step with an upstream's churn log: a
+/// puller thread dials the upstream, performs the `REPLICATE` handshake,
+/// collects any bootstrap image, and applies the streamed frames. One
+/// follower exists per server (when persistence is on); replication
+/// (`replica_of`, `DEMOTE`) and migration (`RESHARD PULL`) each spawn
+/// threads on it under their own [`Policy`].
+pub(crate) struct StreamFollower {
     hub: Arc<Hub>,
     engine: Arc<ShardedEngine>,
     persist: Arc<Persister>,
+    role: Arc<RoleState>,
     shutdown: Arc<AtomicBool>,
     helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     ack_every: u64,
-    /// Bumped by every `PULL`/`CUTOFF`/`DEMOTE`; a puller thread tagged
-    /// with an older generation notices and exits — cutover needs no
-    /// extra signalling, exactly like role generations.
-    generation: AtomicU64,
+    /// Bumped by every `PULL`/`CUTOFF`/`DEMOTE`; the pull counterpart of
+    /// the role generation.
+    pull_generation: AtomicU64,
     target: Mutex<Option<PullTarget>>,
-    /// Highest donor-log seq fully covered (bootstrap or applied frame).
+    /// Highest donor-log seq a pull fully covered (bootstrap or frame).
     /// Stored, not maxed: a promoted standby can legitimately present
-    /// fewer records than the dead donor had streamed.
+    /// fewer records than the dead donor had streamed. It survives
+    /// re-`PULL`s that carry the same scope (a donor failover changes the
+    /// address, not the leg), and is reset when the scope changes.
     pub(crate) cursor: AtomicU64,
-    /// 1 while a stream is established (for `RESHARD STATUS`).
-    connected: AtomicU64,
+    /// 1 while a pull stream is established (for `RESHARD STATUS`).
+    pull_connected: AtomicU64,
 }
 
-impl ReshardRunner {
+impl StreamFollower {
+    /// Starts replicating from the role's primary for role `generation`.
+    pub(crate) fn follow_primary(self: &Arc<Self>, generation: u64) {
+        self.spawn(Policy::Replica { generation });
+    }
+
     /// Installs a (new or re-issued) pull target and starts a puller
     /// generation for it. Idempotent per leg: re-pulling the same scope —
     /// the router controller's repair action after either side dies —
@@ -976,26 +565,25 @@ impl ReshardRunner {
         if !same_leg {
             self.cursor.store(0, Ordering::SeqCst);
         }
-        *target = Some(PullTarget {
+        let pull = PullTarget {
             source,
             scope,
             donor,
-        });
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        };
+        *target = Some(pull.clone());
+        let generation = self.pull_generation.fetch_add(1, Ordering::SeqCst) + 1;
         drop(target);
         self.hub.stats.reshard_pulling.store(1, Ordering::Relaxed);
-        let runner = self.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("apcm-reshard-g{generation}"))
-            .spawn(move || runner.run(generation))
-            .expect("spawning reshard puller");
-        self.helper_threads.lock().push(handle);
+        self.spawn(Policy::Pull {
+            generation,
+            target: pull,
+        });
     }
 
     /// `RESHARD CUTOFF` (or demotion): stop pulling. The applied catalog
     /// stays — cutoff means the migration controller decided this node
     /// now owns what it pulled.
-    pub(crate) fn stop(&self) {
+    pub(crate) fn stop_pull(&self) {
         // Bump the generation while holding the target lock: frame
         // application takes the same lock and re-checks liveness, so once
         // this returns (and `RESHARD CUTOFF` is acked) no further frame —
@@ -1003,56 +591,113 @@ impl ReshardRunner {
         // can touch the catalog this node now owns.
         let mut target = self.target.lock();
         *target = None;
-        self.generation.fetch_add(1, Ordering::SeqCst);
+        self.pull_generation.fetch_add(1, Ordering::SeqCst);
         drop(target);
-        self.connected.store(0, Ordering::Relaxed);
+        self.pull_connected.store(0, Ordering::Relaxed);
         self.hub.stats.reshard_pulling.store(0, Ordering::Relaxed);
     }
 
-    /// Whether the puller tagged `generation` should keep running.
-    fn live(&self, generation: u64) -> bool {
-        !self.shutdown.load(Ordering::SeqCst)
-            && self.generation.load(Ordering::SeqCst) == generation
-    }
-
-    pub(crate) fn status_line(&self) -> String {
+    pub(crate) fn pull_status_line(&self) -> String {
         match &*self.target.lock() {
             Some(t) => format!(
                 "+OK reshard pulling {} applied {} connected {}",
                 t.source,
                 self.cursor.load(Ordering::SeqCst),
-                self.connected.load(Ordering::Relaxed)
+                self.pull_connected.load(Ordering::Relaxed)
             ),
             None => "+OK reshard idle".into(),
         }
     }
 
-    fn run(&self, generation: u64) {
+    /// Starts a puller thread; the handle joins with the other helper
+    /// threads at shutdown.
+    fn spawn(self: &Arc<Self>, policy: Policy) {
+        let name = match &policy {
+            Policy::Replica { generation } => format!("apcm-replica-g{generation}"),
+            Policy::Pull { generation, .. } => format!("apcm-reshard-g{generation}"),
+        };
+        let follower = self.clone();
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || follower.run(&policy))
+            .expect("spawning stream follower");
+        self.helper_threads.lock().push(handle);
+    }
+
+    /// Whether the thread running `policy` should keep going: the server
+    /// is up and the policy's generation is still current.
+    fn live(&self, policy: &Policy) -> bool {
+        !self.shutdown.load(Ordering::SeqCst)
+            && match policy {
+                Policy::Replica { generation } => {
+                    self.role.generation() == *generation && self.role.is_replica()
+                }
+                Policy::Pull { generation, .. } => {
+                    self.pull_generation.load(Ordering::SeqCst) == *generation
+                }
+            }
+    }
+
+    /// The address to dial, or `None` once the thread is obsolete.
+    fn upstream(&self, policy: &Policy) -> Option<String> {
+        if !self.live(policy) {
+            return None;
+        }
+        match policy {
+            Policy::Replica { .. } => self.role.primary_addr(),
+            Policy::Pull { target, .. } => Some(target.source.clone()),
+        }
+    }
+
+    /// Stores the upstream seq this node has covered.
+    fn record_progress(&self, policy: &Policy, seq: u64) {
+        let stats = &self.hub.stats;
+        match policy {
+            Policy::Replica { .. } => stats.repl_applied_seq.store(seq, Ordering::Relaxed),
+            Policy::Pull { .. } => {
+                self.cursor.store(seq, Ordering::SeqCst);
+                stats.reshard_pull_seq.store(seq, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Dial/backoff loop: every return from [`Self::follow`] redials from
+    /// the current progress, so every exit path is also the repair path.
+    fn run(&self, policy: &Policy) {
+        let stats = &self.hub.stats;
         let options = ConnectOptions {
             connect_timeout: Some(Duration::from_millis(500)),
+            // Short read quanta keep shutdown/demotion latency bounded and
+            // double as the keepalive-REPLACK cadence while idle.
             read_timeout: Some(Duration::from_millis(250)),
             attempts: 1,
             ..ConnectOptions::default()
         };
+        let mut connected_before = false;
         let mut failures = 0u32;
-        loop {
-            if !self.live(generation) {
-                return;
-            }
-            let Some(target) = self.target.lock().clone() else {
-                return;
-            };
-            match connect_stream(&target.source, &options) {
+        // Set when a truncate handshake's CRC probe failed: the next dial
+        // sends a trailing `reset` to force the wholesale bootstrap.
+        let mut force_reset = false;
+        while let Some(upstream) = self.upstream(policy) {
+            match connect_stream(&upstream, &options) {
                 Ok(stream) => {
+                    if connected_before && matches!(policy, Policy::Replica { .. }) {
+                        ServerStats::add(&stats.repl_reconnects, 1);
+                    }
+                    connected_before = true;
                     failures = 0;
-                    self.follow(generation, &target, stream);
-                    self.connected.store(0, Ordering::Relaxed);
+                    let _ = self.follow(policy, stream, &mut force_reset);
+                    match policy {
+                        Policy::Replica { .. } => &stats.repl_connected,
+                        Policy::Pull { .. } => &self.pull_connected,
+                    }
+                    .store(0, Ordering::Relaxed);
                 }
                 Err(_) => {
                     failures = failures.saturating_add(1).min(8);
                     let deadline = Instant::now() + options.delay_before_retry(failures);
                     while Instant::now() < deadline {
-                        if !self.live(generation) {
+                        if !self.live(policy) {
                             return;
                         }
                         std::thread::sleep(Duration::from_millis(20));
@@ -1060,6 +705,274 @@ impl ReshardRunner {
                 }
             }
         }
+    }
+
+    /// One connected stint against the upstream: handshake, optional
+    /// bootstrap or rewind, then the live frame tail. `None` is every
+    /// reason to stop reading — the caller redials.
+    fn follow(&self, policy: &Policy, stream: TcpStream, force_reset: &mut bool) -> Option<()> {
+        let stats = &self.hub.stats;
+        let mut link = Link {
+            writer: stream.try_clone().ok()?,
+            reader: BufReader::new(stream),
+            pending: String::new(),
+        };
+        // A replica resumes from its own log head; `reset` (one-shot,
+        // after a failed truncate CRC probe) forces the wholesale
+        // bootstrap. A pull resumes from its source-seq cursor and scopes
+        // the bootstrap to the ring subset it keeps.
+        let (mut applied, suffix) = match policy {
+            Policy::Replica { .. } => (
+                self.persist.current_seq(),
+                if std::mem::take(force_reset) {
+                    " reset".to_string()
+                } else {
+                    String::new()
+                },
+            ),
+            Policy::Pull { target, .. } => (
+                self.cursor.load(Ordering::SeqCst),
+                format!(
+                    " ring {} {}",
+                    target.scope.ring().to_csv(),
+                    target.scope.keep_csv()
+                ),
+            ),
+        };
+        link.writer
+            .write_all(format!("REPLICATE {applied}{suffix}\n").as_bytes())
+            .ok()?;
+        let header = self.next_line(policy, &mut link, applied)?;
+        // `-ERR` (e.g. the peer lost persistence) or garbage: redial.
+        let start = protocol::parse_replicate_header(&header).ok()?;
+        if let Policy::Pull { .. } = policy {
+            // A pull reports `connected` as soon as the stream is up: the
+            // migration controller heals a pull that stays disconnected,
+            // and a long bootstrap is not a disconnect.
+            self.pull_connected.store(1, Ordering::Relaxed);
+        }
+
+        let reset_to = match start {
+            ReplicateStart::Log { .. } => None,
+            ReplicateStart::Colstore {
+                blocks,
+                subs: count,
+                seq,
+            } => {
+                // Our log position is useless to the upstream (it predates
+                // the retained log, or is ahead of it). Collect the whole
+                // catalog image first; any damaged block poisons the
+                // image, so abort and redial — the refetch starts from
+                // scratch, skipping nothing — rather than install a
+                // catalog with holes.
+                let mut subs = Vec::with_capacity(count);
+                for _ in 0..blocks {
+                    let line = self.next_line(policy, &mut link, applied)?;
+                    match protocol::parse_bootstrap_block(&line, &self.hub.schema) {
+                        Ok(mut block) => subs.append(&mut block),
+                        Err(_) => {
+                            // Counted like a corrupt streamed frame.
+                            ServerStats::add(&stats.repl_crc_skipped, 1);
+                            return None;
+                        }
+                    }
+                }
+                if subs.len() != count {
+                    ServerStats::add(&stats.repl_crc_skipped, 1);
+                    return None;
+                }
+                self.install_bootstrap(policy, subs, seq)?;
+                Some(seq)
+            }
+            ReplicateStart::Truncate { seq, crc } => {
+                // Scoped pulls are never offered a truncate (the donor's
+                // handshake gates it on an unscoped stream); treat one as
+                // a protocol violation and redial.
+                let Policy::Replica { .. } = policy else {
+                    return None;
+                };
+                // Covered-suffix rewind: our history is ahead of the
+                // primary's (an unacked suffix from an old promotion).
+                // Verify our own frame at `seq` carries the CRC the
+                // primary announced; a match proves the histories agree
+                // up to `seq`, so the suffix can be discarded locally
+                // with zero transferred state. A mismatch (or a missing
+                // frame) means divergence — redial with `reset` for the
+                // wholesale bootstrap.
+                let rewound = (self.persist.local_frame_crc(seq) == Some(crc))
+                    .then(|| self.persist.rewind_to(&self.engine, seq).ok())
+                    .flatten();
+                let Some(subs) = rewound else {
+                    *force_reset = true;
+                    return None;
+                };
+                self.swap_liveness(fingerprints(&subs));
+                Some(seq)
+            }
+        };
+        if let Some(seq) = reset_to {
+            applied = seq;
+            self.record_progress(policy, seq);
+            link.ack(seq)?;
+        }
+        if let Policy::Replica { .. } = policy {
+            // A replica flips its gauge only now that any bootstrap or
+            // rewind has resolved: `connected 1` in its `ROLE` report
+            // certifies "history reconciled with the upstream", which is
+            // what the router's follower-read eligibility check leans on
+            // — a returned ex-primary mid-bootstrap must not look
+            // readable.
+            stats.repl_connected.store(1, Ordering::Relaxed);
+        }
+
+        let mut since_ack = 0u64;
+        loop {
+            let line = self.next_line(policy, &mut link, applied)?;
+            let Ok(record) = parse_frame(&line, &self.hub.schema) else {
+                // A framed-but-corrupt record is never applied. Drop the
+                // connection instead of skipping past it: the redial
+                // refetches the record from the upstream's durable log,
+                // so no hole survives wire corruption.
+                ServerStats::add(&stats.repl_crc_skipped, 1);
+                return None;
+            };
+            if record.seq <= applied {
+                continue; // backlog/live overlap around the handshake
+            }
+            let advanced = self.apply_frame(policy, &line, &record)?;
+            applied = record.seq;
+            if !advanced {
+                continue;
+            }
+            self.record_progress(policy, applied);
+            since_ack += 1;
+            // Pipelined acks: while more records are already readable on
+            // the stream they will be applied in this same drain, so hold
+            // the ack and send one line at the drain boundary —
+            // `ack_every` caps how long a continuous burst can go
+            // unacknowledged.
+            if since_ack >= self.ack_every || !burst_continues(&mut link.reader) {
+                if since_ack > 1 {
+                    ServerStats::add(&stats.replacks_pipelined, 1);
+                }
+                since_ack = 0;
+                link.ack(applied)?;
+            }
+        }
+    }
+
+    /// Installs a collected bootstrap image at upstream seq `seq`.
+    fn install_bootstrap(
+        &self,
+        policy: &Policy,
+        mut subs: Vec<Subscription>,
+        seq: u64,
+    ) -> Option<()> {
+        match policy {
+            Policy::Replica { .. } => {
+                let fresh = fingerprints(&subs);
+                self.persist
+                    .bootstrap_replace(&self.engine, subs, seq)
+                    .ok()?;
+                self.swap_liveness(fresh);
+                ServerStats::add(&self.hub.stats.repl_bootstraps, 1);
+            }
+            Policy::Pull { target, .. } => {
+                // The donor filtered the image to our scope; re-filter
+                // defensively.
+                subs.retain(|s| target.scope.owns(s.id()));
+                let image: HashSet<SubId> = subs.iter().map(|s| s.id()).collect();
+                // Applied under the target lock with a liveness re-check:
+                // a cutoff acked mid-bootstrap must not race a stale image
+                // into the catalog the controller just took ownership of.
+                let _guard = self.target.lock();
+                if !self.live(policy) {
+                    return None;
+                }
+                for sub in &subs {
+                    self.apply_owned_sub(sub).ok()?;
+                }
+                // Reconcile: an owned id present locally but absent from
+                // the donor's image was unsubscribed while we were
+                // disconnected past the donor's log retention — drop it,
+                // or it resurrects. Bounded by the donor's old-ring
+                // scope: ids absorbed from *earlier* legs of the same
+                // migration are owned by `scope` but were never this
+                // donor's, and must survive.
+                for id in self.persist.catalog_ids() {
+                    let from_this_donor = target.donor.as_ref().is_none_or(|d| d.owns(id));
+                    if target.scope.owns(id) && from_this_donor && !image.contains(&id) {
+                        self.apply_owned_unsub(id).ok()?;
+                    }
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// Applies one streamed frame. `Some(true)` advances the progress
+    /// cursor; `Some(false)` is a replica's already-applied seq (stream
+    /// overlap after a reconnect); `None` drops the stream — local
+    /// persistence is degraded (the redial retries the append rather
+    /// than silently dropping churn) or a cutoff ended the pull.
+    fn apply_frame(&self, policy: &Policy, line: &str, record: &ReplayRecord) -> Option<bool> {
+        match policy {
+            Policy::Replica { .. } => {
+                let applied = self
+                    .persist
+                    .apply_replicated(&self.engine, line, record)
+                    .ok()?;
+                if applied {
+                    match &record.op {
+                        ReplayOp::Sub(sub) => {
+                            self.hub.live.write().insert(sub.id(), sub_fingerprint(sub));
+                        }
+                        ReplayOp::Unsub(id) => {
+                            self.hub.live.write().remove(id);
+                            self.hub.owners.write().remove(id);
+                        }
+                    }
+                }
+                Some(applied)
+            }
+            Policy::Pull { target, .. } => {
+                let id = match &record.op {
+                    ReplayOp::Sub(sub) => sub.id(),
+                    ReplayOp::Unsub(id) => *id,
+                };
+                // Frames outside the scope are skipped, but the cursor
+                // still covers them — acking them is what keeps it
+                // comparable with the donor's log seq.
+                if target.scope.owns(id) {
+                    // Lock-and-recheck against a concurrent `RESHARD
+                    // CUTOFF`: once the cutoff is acked this node owns its
+                    // catalog, and a frame already in flight — the donor
+                    // prune's `UNSUB`s chief among them — must not be
+                    // applied over it.
+                    let _guard = self.target.lock();
+                    if !self.live(policy) {
+                        return None;
+                    }
+                    match &record.op {
+                        ReplayOp::Sub(sub) => self.apply_owned_sub(sub),
+                        ReplayOp::Unsub(id) => self.apply_owned_unsub(*id),
+                    }
+                    .ok()?;
+                }
+                Some(true)
+            }
+        }
+    }
+
+    /// Mirrors a wholesale catalog swap (bootstrap or rewind) in the hub,
+    /// so `CLAIM` liveness and notification routing agree with what is
+    /// actually matchable.
+    fn swap_liveness(&self, fresh: HashMap<SubId, u64>) {
+        self.hub
+            .owners
+            .write()
+            .retain(|id, _| fresh.contains_key(id));
+        *self.hub.live.write() = fresh;
     }
 
     /// Applies one owned subscription through the local churn path.
@@ -1103,230 +1016,24 @@ impl ReshardRunner {
         }
     }
 
-    /// One connected stint against the donor: scoped handshake, optional
-    /// bootstrap (the donor filters the catalog image to our scope; we
-    /// re-filter defensively), then the live frame tail. The log tail and
-    /// live stream carry **all** of the donor's frames — we skip the ones
-    /// outside our scope but still advance the cursor across them.
-    fn follow(&self, generation: u64, target: &PullTarget, stream: TcpStream) {
-        let stats = &self.hub.stats;
-        let scope = &target.scope;
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let mut reader = BufReader::new(stream);
-        let mut pending = String::new();
-        let mut cursor = self.cursor.load(Ordering::SeqCst);
-        if writer
-            .write_all(
-                format!(
-                    "REPLICATE {cursor} v2 ring {} {}\n",
-                    scope.ring().to_csv(),
-                    scope.keep_csv()
-                )
-                .as_bytes(),
-            )
-            .is_err()
-        {
-            return;
-        }
-
-        let Some(header) =
-            self.next_line(generation, &mut reader, &mut pending, &mut writer, cursor)
-        else {
-            return;
-        };
-        let start = match protocol::parse_replicate_header(&header) {
-            Ok(start) => start,
-            Err(_) => return,
-        };
-        self.connected.store(1, Ordering::Relaxed);
-
-        // Bootstrap forms mirror ReplicaRunner: collect the whole image,
-        // abort on any damage, and only then touch local state.
-        let bootstrap: Option<(Vec<Subscription>, u64)> = match start {
-            ReplicateStart::Log { .. } => None,
-            ReplicateStart::Snapshot { subs: count, seq } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let Some(line) =
-                        self.next_line(generation, &mut reader, &mut pending, &mut writer, cursor)
-                    else {
-                        return;
-                    };
-                    match parse_frame(&line, &self.hub.schema) {
-                        Ok(record) => match record.op {
-                            ReplayOp::Sub(sub) => subs.push(sub),
-                            ReplayOp::Unsub(_) => return,
-                        },
-                        Err(_) => {
-                            ServerStats::add(&stats.repl_crc_skipped, 1);
-                            return;
-                        }
-                    }
-                }
-                Some((subs, seq))
-            }
-            ReplicateStart::Colstore {
-                blocks,
-                subs: count,
-                seq,
-            } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..blocks {
-                    let Some(line) =
-                        self.next_line(generation, &mut reader, &mut pending, &mut writer, cursor)
-                    else {
-                        return;
-                    };
-                    match decode_bootstrap_block(&line, &self.hub.schema) {
-                        Ok(mut block_subs) => subs.append(&mut block_subs),
-                        Err(_) => {
-                            ServerStats::add(&stats.repl_crc_skipped, 1);
-                            return;
-                        }
-                    }
-                }
-                if subs.len() != count {
-                    ServerStats::add(&stats.repl_crc_skipped, 1);
-                    return;
-                }
-                Some((subs, seq))
-            }
-            // Scoped pulls are never offered a truncate (the donor's
-            // handshake gates it on an unscoped stream); treat one as a
-            // protocol violation and redial.
-            ReplicateStart::Truncate { .. } => return,
-        };
-        if let Some((mut subs, seq)) = bootstrap {
-            // Unlike a replica bootstrap, this is *additive*: the node
-            // keeps serving its existing catalog while absorbing the
-            // migrated subset, so no wholesale replace.
-            subs.retain(|s| scope.owns(s.id()));
-            let image: HashMap<SubId, ()> = subs.iter().map(|s| (s.id(), ())).collect();
-            // Applied under the target lock with a liveness re-check: a
-            // cutoff acked mid-bootstrap must not race a stale image into
-            // the catalog the controller just took ownership of.
-            let guard = self.target.lock();
-            if !self.live(generation) {
-                return;
-            }
-            for sub in &subs {
-                if self.apply_owned_sub(sub).is_err() {
-                    return;
-                }
-            }
-            // Reconcile: an owned id present locally but absent from the
-            // donor's image was unsubscribed while we were disconnected
-            // past the donor's log retention — drop it, or it resurrects.
-            // Bounded by the donor's old-ring scope: ids absorbed from
-            // *earlier* legs of the same migration are owned by `scope`
-            // but were never this donor's, and must survive.
-            for id in self.persist.catalog_ids() {
-                let from_this_donor = target.donor.as_ref().is_none_or(|d| d.owns(id));
-                if scope.owns(id)
-                    && from_this_donor
-                    && !image.contains_key(&id)
-                    && self.apply_owned_unsub(id).is_err()
-                {
-                    return;
-                }
-            }
-            drop(guard);
-            cursor = seq;
-            self.cursor.store(cursor, Ordering::SeqCst);
-            stats.reshard_pull_seq.store(cursor, Ordering::Relaxed);
-            if writer
-                .write_all(format!("REPLACK {cursor}\n").as_bytes())
-                .is_err()
-            {
-                return;
-            }
-        }
-
-        let mut since_ack = 0u64;
+    /// Reads the next complete line, tolerating read-timeout ticks. Each
+    /// idle tick re-checks the stop conditions and sends a keepalive
+    /// `REPLACK` so the upstream's lag gauge stays fresh. `None` means the
+    /// stream ended or this thread should stop.
+    fn next_line(&self, policy: &Policy, link: &mut Link, applied: u64) -> Option<String> {
         loop {
-            let Some(line) =
-                self.next_line(generation, &mut reader, &mut pending, &mut writer, cursor)
-            else {
-                return;
-            };
-            let record = match parse_frame(&line, &self.hub.schema) {
-                Ok(record) => record,
-                Err(_) => {
-                    // Never applied, never acked: drop the stream and let
-                    // the redial refetch it from the donor's durable log.
-                    ServerStats::add(&stats.repl_crc_skipped, 1);
-                    return;
-                }
-            };
-            if record.seq <= cursor {
-                continue;
-            }
-            let id = match &record.op {
-                ReplayOp::Sub(sub) => sub.id(),
-                ReplayOp::Unsub(id) => *id,
-            };
-            if scope.owns(id) {
-                // Lock-and-recheck against a concurrent `RESHARD CUTOFF`:
-                // once the cutoff is acked this node owns its catalog, and
-                // a frame already in flight — the donor prune's `UNSUB`s
-                // chief among them — must not be applied over it.
-                let guard = self.target.lock();
-                if !self.live(generation) {
-                    return;
-                }
-                let applied = match &record.op {
-                    ReplayOp::Sub(sub) => self.apply_owned_sub(sub),
-                    ReplayOp::Unsub(id) => self.apply_owned_unsub(*id),
-                };
-                drop(guard);
-                if applied.is_err() {
-                    return;
-                }
-            }
-            // The cursor covers non-owned frames too — acking them is
-            // what keeps it comparable with the donor's log seq.
-            cursor = record.seq;
-            self.cursor.store(cursor, Ordering::SeqCst);
-            stats.reshard_pull_seq.store(cursor, Ordering::Relaxed);
-            since_ack += 1;
-            if since_ack >= self.ack_every {
-                since_ack = 0;
-                if writer
-                    .write_all(format!("REPLACK {cursor}\n").as_bytes())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Reads the next complete line, tolerating read-timeout ticks; each
-    /// idle tick re-checks the stop conditions and keeps the donor's lag
-    /// gauge fresh with a keepalive `REPLACK`.
-    fn next_line(
-        &self,
-        generation: u64,
-        reader: &mut BufReader<TcpStream>,
-        pending: &mut String,
-        writer: &mut TcpStream,
-        cursor: u64,
-    ) -> Option<String> {
-        loop {
-            if !self.live(generation) {
+            if !self.live(policy) {
                 return None;
             }
-            match reader.read_line(pending) {
+            match link.reader.read_line(&mut link.pending) {
                 Ok(0) => return None,
                 Ok(_) => {
-                    if pending.ends_with('\n') {
-                        let line = pending.trim_end().to_string();
-                        pending.clear();
+                    if link.pending.ends_with('\n') {
+                        let line = link.pending.trim_end().to_string();
+                        link.pending.clear();
                         return Some(line);
                     }
+                    // Unterminated tail: EOF follows on the next read.
                 }
                 Err(e)
                     if matches!(
@@ -1334,17 +1041,42 @@ impl ReshardRunner {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if writer
-                        .write_all(format!("REPLACK {cursor}\n").as_bytes())
-                        .is_err()
-                    {
-                        return None;
-                    }
+                    link.ack(applied)?;
                 }
                 Err(_) => return None,
             }
         }
     }
+}
+
+/// Expression fingerprints of a catalog image, keyed by id.
+fn fingerprints(subs: &[Subscription]) -> HashMap<SubId, u64> {
+    subs.iter()
+        .map(|sub| (sub.id(), sub_fingerprint(sub)))
+        .collect()
+}
+
+/// Whether the replication burst being drained continues: another frame
+/// is already buffered, or the kernel socket buffer has more bytes ready
+/// right now. The `BufReader` buffer alone is not a drain boundary — a
+/// burst larger than one buffer fill (8KB default) looks "drained" at
+/// every buffer edge, which would ack far more often than `ack_every`
+/// intends — so when the buffer is quiet, peek the socket with a
+/// momentary non-blocking fill: `WouldBlock` is the genuine boundary.
+fn burst_continues(reader: &mut BufReader<TcpStream>) -> bool {
+    if reader.buffer().contains(&b'\n') {
+        return true;
+    }
+    // A non-empty buffer without a newline is a torn frame: its tail is
+    // in flight, so the fill below reports the burst continuing (either
+    // from fresh bytes or the buffered remainder) and the ack holds —
+    // the idle keepalive still bounds how long that can last.
+    if reader.get_ref().set_nonblocking(true).is_err() {
+        return false;
+    }
+    let ready = matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty());
+    let _ = reader.get_ref().set_nonblocking(false);
+    ready
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //!   truncation and corrupt-record skipping.
 //! * [`replication`] ships that churn log to follower servers live: a
 //!   replica (`ServerConfig::replica_of`, or `DEMOTE` at runtime) pulls
-//!   `REPLICATE <from_seq>` — log tail or full snapshot bootstrap — and
+//!   `REPLICATE <from_seq>` — log tail or full catalog bootstrap — and
 //!   applies each CRC-framed record to its own engine + persistence,
 //!   refusing client churn until `PROMOTE` flips it back to primary.
 
@@ -45,7 +45,7 @@ pub use config::{
 };
 pub use engine::ShardEngine;
 pub use ingest::{IngestItem, IngestPipeline, ResultSink};
-pub use persist::{Persister, RecoveryReport, SnapshotOutcome, StreamStart};
+pub use persist::{Persister, RecoveryReport, SnapshotOutcome};
 pub use protocol::{ReplicateStart, ReshardCmd, RingSpec, RoleReport};
 pub use replication::{Role, RoleState};
 pub use ring::{parse_member_csv, Ring, RingScope, VNODES_PER_MEMBER};

@@ -50,11 +50,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::config::{FsyncPolicy, PersistConfig, SnapshotFormat};
+use crate::protocol::{self, ReplicateStart};
 use crate::replication::{send_chunk, FollowerConn, ReplicationHub};
 use crate::ring::RingScope;
 use crate::shard::{route_partition, ShardedEngine};
 use crate::stats::ServerStats;
-use apcm_colstore::{b64, Manifest};
+use apcm_colstore::Manifest;
 use log::{ChurnLog, ChurnOp, ReplayOp, ReplayRecord};
 
 /// Why a churn operation was rejected.
@@ -202,32 +203,6 @@ pub struct Persister {
     /// out to them (under `inner`, so followers see append order).
     repl: ReplicationHub,
     recovery: RecoveryReport,
-}
-
-/// How a `REPLICATE <from_seq>` handshake was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamStart {
-    /// The retained log covered `from_seq`: this many backlog frames were
-    /// shipped, live tail follows.
-    Log { backlog: usize },
-    /// `from_seq` predated the retained log (or was ahead of the primary —
-    /// stale promote leftovers): the full catalog was shipped as a
-    /// text snapshot bootstrap (one SUB frame per subscription) at this
-    /// sequence.
-    Snapshot { subs: usize, seq: u64 },
-    /// Same trigger, but the follower spoke `REPLICATE <seq> v2` and this
-    /// primary runs the colstore format: the catalog was shipped as
-    /// compressed colstore blocks (base64 `BLOCK` lines).
-    Colstore {
-        blocks: usize,
-        subs: usize,
-        seq: u64,
-    },
-    /// The follower was *ahead* of this primary but the primary still
-    /// retains its own head frame: nothing was shipped; the follower was
-    /// told to verify its frame at `seq` against `crc` and rewind locally
-    /// (discarding only its divergent — necessarily unacked — suffix).
-    Truncate { seq: u64, crc: u32 },
 }
 
 impl Persister {
@@ -690,11 +665,11 @@ impl Persister {
         self.repl.broadcast(&frame, seq, &self.stats);
     }
 
-    /// Answers a `REPLICATE <from_seq>` handshake: decides log-tail vs
-    /// snapshot bootstrap, queues the header + backlog as one chunk on the
-    /// follower connection's outbound channel, and registers the stream
-    /// for live fan-out — all under the append lock, so no record is
-    /// missed or duplicated between backlog and tail.
+    /// Answers a `REPLICATE <from_seq>` handshake: decides log tail vs
+    /// truncate vs catalog bootstrap, queues the header + body as one
+    /// chunk on the follower connection's outbound channel, and registers
+    /// the stream for live fan-out — all under the append lock, so no
+    /// record is missed or duplicated between backlog and tail.
     ///
     /// `scope` (a resharding pull) restricts the **bootstrap catalog** to
     /// the subscriptions the scope owns. It deliberately does NOT filter
@@ -710,25 +685,26 @@ impl Persister {
         &self,
         follower_id: u64,
         from_seq: u64,
-        v2: bool,
         reset: bool,
         scope: Option<&RingScope>,
         conn: Box<dyn FollowerConn>,
-    ) -> io::Result<StreamStart> {
+    ) -> io::Result<ReplicateStart> {
         let inner = self.inner.lock();
         let current = inner.log.seq();
         let base = inner.log.base_seq();
         let start = if from_seq >= base && from_seq <= current {
             let frames = inner.log.frames_after(from_seq)?;
-            let mut chunk = format!("+OK replicate log {}", frames.len());
+            let start = ReplicateStart::Log {
+                backlog: frames.len(),
+            };
+            let mut chunk = protocol::render_replicate_header(&start);
             for frame in &frames {
                 chunk.push('\n');
                 chunk.push_str(frame);
             }
-            let backlog = frames.len();
             send_chunk(&*conn, chunk).map_err(io::Error::other)?;
             self.repl.register(follower_id, conn, from_seq);
-            StreamStart::Log { backlog }
+            start
         } else if let Some(crc) = (!reset && scope.is_none() && from_seq > current)
             .then(|| Self::frame_crc_at(&inner.log, current))
             .flatten()
@@ -740,8 +716,9 @@ impl Persister {
             // histories agree up to `current`, so it rewinds locally with
             // zero transferred state and tails from there. A mismatch
             // makes it redial with `reset` for the wholesale bootstrap.
-            let chunk = format!("+OK replicate truncate {current} {crc:08x}");
-            send_chunk(&*conn, chunk).map_err(io::Error::other)?;
+            let start = ReplicateStart::Truncate { seq: current, crc };
+            send_chunk(&*conn, protocol::render_replicate_header(&start))
+                .map_err(io::Error::other)?;
             // Register at cursor 0, not `current`: nothing is verified
             // until the follower CRC-probes its own frame at `current`
             // and acks the rewind. Registering at `current` would fold an
@@ -751,12 +728,16 @@ impl Persister {
             // follower's first `REPLACK` after the rewind raises the
             // cursor to its true verified progress.
             self.repl.register(follower_id, conn, 0);
-            StreamStart::Truncate { seq: current, crc }
+            start
         } else {
             // The follower predates the retained log (rotation), asked
             // for a `reset`, or is ahead of a primary whose head frame is
             // no longer retained: ship the whole catalog at the current
-            // sequence (scoped pulls get only their owned subset).
+            // sequence (scoped pulls get only their owned subset) as
+            // colstore blocks — the same prepare+compress path the
+            // snapshot writer uses, whatever format the snapshots on disk
+            // use. The follower CRC-checks every block and refetches the
+            // whole bootstrap on any mismatch.
             let mut subs: Vec<Subscription> = match scope {
                 Some(scope) => self
                     .catalog
@@ -768,50 +749,19 @@ impl Persister {
                 None => self.catalog.read().values().cloned().collect(),
             };
             subs.sort_by_key(|s| s.id());
-            let n = subs.len();
-            let start = if v2 && self.config.format == SnapshotFormat::Colstore {
-                // Compressed bootstrap: the same prepare+compress path the
-                // snapshot writer uses, shipped as base64 `BLOCK` lines in
-                // one chunk. The follower CRC-checks every block and
-                // refetches the whole bootstrap on any mismatch.
-                let blocks = snapshot::prepare_blocks(&subs, &self.schema, self.partitions, None)?;
-                let mut chunk = format!("+OK replicate colstore {} {n} {current}", blocks.len());
-                for block in &blocks {
-                    chunk.push('\n');
-                    chunk.push_str(&format!(
-                        "BLOCK {} {} {} {:08x} {}",
-                        block.partition,
-                        block.rows,
-                        block.raw_len,
-                        block.crc,
-                        b64::encode(&block.data)
-                    ));
-                }
-                let nblocks = blocks.len();
-                ServerStats::add(&self.stats.repl_bootstrap_bytes, chunk.len() as u64 + 1);
-                send_chunk(&*conn, chunk).map_err(io::Error::other)?;
-                StreamStart::Colstore {
-                    blocks: nblocks,
-                    subs: n,
-                    seq: current,
-                }
-            } else {
-                let mut chunk = format!("+OK replicate snapshot {n} {current}");
-                for sub in &subs {
-                    chunk.push('\n');
-                    chunk.push_str(&log::render_frame(
-                        current,
-                        &ChurnOp::Sub(sub),
-                        &self.schema,
-                    ));
-                }
-                ServerStats::add(&self.stats.repl_bootstrap_bytes, chunk.len() as u64 + 1);
-                send_chunk(&*conn, chunk).map_err(io::Error::other)?;
-                StreamStart::Snapshot {
-                    subs: n,
-                    seq: current,
-                }
+            let blocks = snapshot::prepare_blocks(&subs, &self.schema, self.partitions, None)?;
+            let start = ReplicateStart::Colstore {
+                blocks: blocks.len(),
+                subs: subs.len(),
+                seq: current,
             };
+            let mut chunk = protocol::render_replicate_header(&start);
+            for block in &blocks {
+                chunk.push('\n');
+                chunk.push_str(&protocol::render_bootstrap_block(block));
+            }
+            ServerStats::add(&self.stats.repl_bootstrap_bytes, chunk.len() as u64 + 1);
+            send_chunk(&*conn, chunk).map_err(io::Error::other)?;
             self.repl.register(follower_id, conn, from_seq.min(current));
             start
         };

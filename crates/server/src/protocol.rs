@@ -25,10 +25,10 @@
 //! Replication / role management (see [`crate::replication`]):
 //!
 //! ```text
-//! REPLICATE <from_seq> turn this connection into a churn-record stream
+//! REPLICATE <from_seq> [ring <members> <keep>] [reset]
+//!                      turn this connection into a churn-record stream
 //!                      (follower handshake; requires persistence);
-//!                      `v2` advertises colstore bootstrap decode, and
-//!                      `v2 ring <members> <keep>` scopes the *bootstrap*
+//!                      `ring <members> <keep>` scopes the *bootstrap*
 //!                      to the catalog subset the ring routes to `keep`
 //!                      (the live tail still carries every record — the
 //!                      receiver filters — so seqs stay comparable).
@@ -90,6 +90,7 @@
 //! a claim and transfers ownership (`+OK claimed <id>`).
 
 use apcm_bexpr::{parser, BexprError, Event, Schema, SubId, Subscription};
+use apcm_colstore::CompressedBlock;
 use apcm_encoding::FixedBitSet;
 
 /// A parsed client request.
@@ -124,15 +125,12 @@ pub enum Request {
         epoch: u64,
     },
     /// Follower handshake: stream churn records after this sequence.
-    /// `v2` is set when the follower appended a `v2` token, advertising
-    /// that it can decode a compressed colstore bootstrap. `ring` scopes
-    /// the bootstrap catalog to a ring subset (see [`RingSpec`]); it
-    /// requires `v2`. `reset` disclaims the follower's local history,
+    /// `ring` scopes the bootstrap catalog to a ring subset (see
+    /// [`RingSpec`]). `reset` disclaims the follower's local history,
     /// forcing a wholesale bootstrap even when `from_seq` would allow a
     /// log tail or truncate answer.
     Replicate {
         from_seq: u64,
-        v2: bool,
         ring: Option<RingSpec>,
         reset: bool,
     },
@@ -266,22 +264,15 @@ pub fn parse_request(schema: &Schema, line: &str) -> Result<Option<Request>, Str
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| format!("bad replicate seq `{rest}`"))?;
             let mut next = parts.next();
-            let v2 = match next {
-                Some("v2") => {
-                    next = parts.next();
-                    true
-                }
-                _ => false,
-            };
             let ring = match next {
-                Some("ring") if v2 => {
+                Some("ring") => {
                     let members_csv = parts
                         .next()
-                        .ok_or("usage: REPLICATE <seq> v2 ring <members> <keep>")?
+                        .ok_or("usage: REPLICATE <seq> ring <members> <keep>")?
                         .to_string();
                     let keep_csv = parts
                         .next()
-                        .ok_or("usage: REPLICATE <seq> v2 ring <members> <keep>")?
+                        .ok_or("usage: REPLICATE <seq> ring <members> <keep>")?
                         .to_string();
                     next = parts.next();
                     Some(RingSpec {
@@ -304,7 +295,6 @@ pub fn parse_request(schema: &Schema, line: &str) -> Result<Option<Request>, Str
             }
             Request::Replicate {
                 from_seq,
-                v2,
                 ring,
                 reset,
             }
@@ -537,12 +527,11 @@ pub fn render_event_notification(id: SubId, event: &Event, schema: &Schema) -> S
 pub enum ReplicateStart {
     /// Log tail: this many backlog frames, then the live stream.
     Log { backlog: usize },
-    /// Snapshot bootstrap: this many catalog frames, all at `seq`; the
-    /// follower replaces its local state wholesale, then the live stream.
-    Snapshot { subs: usize, seq: u64 },
-    /// Compressed bootstrap (the primary runs the colstore snapshot
-    /// format and the follower advertised `v2`): this many base64
-    /// `BLOCK` lines carrying `subs` subscriptions, all at `seq`.
+    /// Catalog bootstrap: this many base64 `BLOCK` lines (see
+    /// [`render_bootstrap_block`]) carrying `subs` subscriptions, all at
+    /// `seq`, then the live stream. Sent when the follower's `from_seq`
+    /// predates the retained log, is ahead of it with no verifiable
+    /// shared prefix, or came with `reset`.
     Colstore {
         blocks: usize,
         subs: usize,
@@ -559,9 +548,16 @@ pub enum ReplicateStart {
     Truncate { seq: u64, crc: u32 },
 }
 
-/// Renders the `+OK replicate truncate <seq> <crc>` handshake header.
-pub fn render_replicate_truncate(seq: u64, crc: u32) -> String {
-    format!("+OK replicate truncate {seq} {crc:08x}")
+/// Renders the `+OK replicate log|colstore|truncate ...` handshake
+/// header; [`parse_replicate_header`] is its inverse.
+pub fn render_replicate_header(start: &ReplicateStart) -> String {
+    match start {
+        ReplicateStart::Log { backlog } => format!("+OK replicate log {backlog}"),
+        ReplicateStart::Colstore { blocks, subs, seq } => {
+            format!("+OK replicate colstore {blocks} {subs} {seq}")
+        }
+        ReplicateStart::Truncate { seq, crc } => format!("+OK replicate truncate {seq} {crc:08x}"),
+    }
 }
 
 /// Parses a `+OK replicate ...` handshake header.
@@ -577,17 +573,6 @@ pub fn parse_replicate_header(line: &str) -> Result<ReplicateStart, String> {
                 .and_then(|t| t.parse().ok())
                 .ok_or("replicate log header missing backlog count")?;
             Ok(ReplicateStart::Log { backlog })
-        }
-        Some("snapshot") => {
-            let subs: usize = parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or("replicate snapshot header missing sub count")?;
-            let seq: u64 = parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or("replicate snapshot header missing seq")?;
-            Ok(ReplicateStart::Snapshot { subs, seq })
         }
         Some("colstore") => {
             let blocks: usize = parts
@@ -617,6 +602,67 @@ pub fn parse_replicate_header(line: &str) -> Result<ReplicateStart, String> {
         }
         other => Err(format!("unknown replicate mode {other:?}")),
     }
+}
+
+/// Renders one compressed colstore block of a replication bootstrap as
+/// `BLOCK <partition> <rows> <raw_len> <crc8hex> <base64>`.
+pub fn render_bootstrap_block(block: &CompressedBlock) -> String {
+    format!(
+        "BLOCK {} {} {} {:08x} {}",
+        block.partition,
+        block.rows,
+        block.raw_len,
+        block.crc,
+        apcm_colstore::b64::encode(&block.data)
+    )
+}
+
+/// Parses a `BLOCK ...` bootstrap line and decodes it into
+/// subscriptions. Every failure mode (bad framing, base64 damage, CRC
+/// mismatch, columnar decode error, unparseable expression) is just an
+/// error string — the follower drops the connection and refetches the
+/// whole bootstrap.
+pub(crate) fn parse_bootstrap_block(
+    line: &str,
+    schema: &Schema,
+) -> Result<Vec<Subscription>, String> {
+    let rest = line.strip_prefix("BLOCK ").ok_or("not a BLOCK line")?;
+    let mut parts = rest.split_whitespace();
+    let partition: u32 = parts
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or("missing partition")?;
+    let rows: u32 = parts
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or("missing row count")?;
+    let raw_len: u32 = parts
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or("missing raw_len")?;
+    let crc: u32 = parts
+        .next()
+        .and_then(|t| u32::from_str_radix(t, 16).ok())
+        .ok_or("missing crc")?;
+    let data = apcm_colstore::b64::decode(parts.next().ok_or("missing payload")?)
+        .map_err(|e| e.to_string())?;
+    if parts.next().is_some() {
+        return Err("trailing tokens on BLOCK line".into());
+    }
+    let block = CompressedBlock {
+        partition,
+        rows,
+        min_id: 0,
+        max_id: 0,
+        raw_len,
+        crc,
+        data,
+    };
+    let decoded = block.decode().map_err(|e| e.to_string())?;
+    decoded
+        .iter()
+        .map(|row| crate::persist::snapshot::row_to_sub(row, schema).map_err(|e| e.to_string()))
+        .collect()
 }
 
 /// What a server reports about itself in reply to `ROLE`.
@@ -911,38 +957,26 @@ mod tests {
             parse_request(&schema, "REPLICATE 42").unwrap().unwrap(),
             Request::Replicate {
                 from_seq: 42,
-                v2: false,
                 ring: None,
                 reset: false
             }
         );
         assert_eq!(
-            parse_request(&schema, "REPLICATE 42 v2").unwrap().unwrap(),
-            Request::Replicate {
-                from_seq: 42,
-                v2: true,
-                ring: None,
-                reset: false
-            }
-        );
-        assert_eq!(
-            parse_request(&schema, "REPLICATE 42 v2 reset")
+            parse_request(&schema, "REPLICATE 42 reset")
                 .unwrap()
                 .unwrap(),
             Request::Replicate {
                 from_seq: 42,
-                v2: true,
                 ring: None,
                 reset: true
             }
         );
         assert_eq!(
-            parse_request(&schema, "REPLICATE 0 v2 ring 0,1,2 2")
+            parse_request(&schema, "REPLICATE 0 ring 0,1,2 2")
                 .unwrap()
                 .unwrap(),
             Request::Replicate {
                 from_seq: 0,
-                v2: true,
                 ring: Some(RingSpec {
                     members_csv: "0,1,2".into(),
                     keep_csv: "2".into()
@@ -951,12 +985,11 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(&schema, "REPLICATE 0 v2 ring 0,1,2 2 reset")
+            parse_request(&schema, "REPLICATE 0 ring 0,1,2 2 reset")
                 .unwrap()
                 .unwrap(),
             Request::Replicate {
                 from_seq: 0,
-                v2: true,
                 ring: Some(RingSpec {
                     members_csv: "0,1,2".into(),
                     keep_csv: "2".into()
@@ -964,11 +997,11 @@ mod tests {
                 reset: true
             }
         );
-        assert!(parse_request(&schema, "REPLICATE 42 v3").is_err());
-        assert!(parse_request(&schema, "REPLICATE 42 v2 x").is_err());
-        assert!(parse_request(&schema, "REPLICATE 42 v2 ring 0,1").is_err());
-        assert!(parse_request(&schema, "REPLICATE 42 v2 ring 0,1 1 x").is_err());
-        assert!(parse_request(&schema, "REPLICATE 42 v2 reset x").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 v2").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 x").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 ring 0,1").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 ring 0,1 1 x").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 reset x").is_err());
         assert_eq!(
             parse_request(&schema, "replack 7").unwrap().unwrap(),
             Request::ReplAck { seq: 7 }
@@ -1186,41 +1219,63 @@ mod tests {
     }
 
     #[test]
-    fn replicate_headers_parse() {
-        assert_eq!(
-            parse_replicate_header("+OK replicate log 12").unwrap(),
-            ReplicateStart::Log { backlog: 12 }
-        );
-        assert_eq!(
-            parse_replicate_header("+OK replicate snapshot 40 97").unwrap(),
-            ReplicateStart::Snapshot { subs: 40, seq: 97 }
-        );
-        assert_eq!(
-            parse_replicate_header("+OK replicate colstore 3 40 97").unwrap(),
+    fn replicate_wire_forms_round_trip() {
+        for start in [
+            ReplicateStart::Log { backlog: 12 },
             ReplicateStart::Colstore {
                 blocks: 3,
                 subs: 40,
-                seq: 97
-            }
-        );
-        assert_eq!(
-            parse_replicate_header("+OK replicate truncate 97 deadbeef").unwrap(),
+                seq: 97,
+            },
             ReplicateStart::Truncate {
                 seq: 97,
-                crc: 0xdead_beef
-            }
-        );
+                crc: 0xdead_beef,
+            },
+        ] {
+            let line = render_replicate_header(&start);
+            assert_eq!(parse_replicate_header(&line).unwrap(), start, "{line}");
+        }
         assert_eq!(
-            render_replicate_truncate(97, 0xdead_beef),
+            render_replicate_header(&ReplicateStart::Truncate {
+                seq: 97,
+                crc: 0xdead_beef
+            }),
             "+OK replicate truncate 97 deadbeef"
         );
-        assert!(parse_replicate_header("+OK replicate").is_err());
-        assert!(parse_replicate_header("+OK replicate log").is_err());
-        assert!(parse_replicate_header("+OK replicate truncate 97").is_err());
-        assert!(parse_replicate_header("+OK replicate truncate 97 zzz").is_err());
-        assert!(parse_replicate_header("+OK replicate snapshot 4").is_err());
-        assert!(parse_replicate_header("+OK replicate colstore 3 40").is_err());
+        // `snapshot` was the text bootstrap form; every bootstrap now
+        // ships `BLOCK` lines, so it is an unknown mode like any other.
+        for bad in [
+            "",
+            "log",
+            "truncate 97",
+            "truncate 97 zzz",
+            "snapshot 40 97",
+            "colstore 3 40",
+        ] {
+            let line = format!("+OK replicate {bad}");
+            assert!(parse_replicate_header(&line).is_err(), "{line}");
+        }
         assert!(parse_replicate_header("-ERR persistence disabled").is_err());
+
+        let schema = schema();
+        let subs: Vec<Subscription> = ["a0 = 3 AND a1 >= 5", "a2 <= 9", "a0 = 1 AND a2 = 4"]
+            .iter()
+            .enumerate()
+            .map(|(i, expr)| {
+                parser::parse_subscription_with_id(&schema, SubId(i as u32 + 1), expr).unwrap()
+            })
+            .collect();
+        let blocks = crate::persist::snapshot::prepare_blocks(&subs, &schema, 1, None).unwrap();
+        assert_eq!(blocks.len(), 1);
+        let line = render_bootstrap_block(&blocks[0]);
+        assert!(line.starts_with("BLOCK 0 3 "), "{line}");
+        assert_eq!(parse_bootstrap_block(&line, &schema).unwrap(), subs);
+        // Any damage is an error, never a partial block.
+        let mut crc_flipped: Vec<String> = line.split(' ').map(str::to_string).collect();
+        crc_flipped[4] = format!("{:08x}", blocks[0].crc ^ 1);
+        assert!(parse_bootstrap_block(&crc_flipped.join(" "), &schema).is_err());
+        assert!(parse_bootstrap_block(&format!("{line} extra"), &schema).is_err());
+        assert!(parse_bootstrap_block("BLOCK 0 3", &schema).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use apcm_bexpr::Event;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::broker::{sub_fingerprint, Hub, ReplicaRunner, ReshardRunner};
+use crate::broker::{sub_fingerprint, Hub, StreamFollower};
 use crate::ingest::IngestItem;
 use crate::persist::failpoint::{self, FailAction};
 use crate::persist::{ChurnError, Persister};
@@ -38,12 +38,10 @@ pub(crate) struct ConnCtx {
     pub(crate) ingest_depth: Receiver<IngestItem>,
     pub(crate) max_line_bytes: usize,
     pub(crate) role: Arc<RoleState>,
-    /// Spawns replica puller threads on `DEMOTE`; `None` without
-    /// persistence (replica mode requires it).
-    pub(crate) runner: Option<Arc<ReplicaRunner>>,
-    /// Drives `RESHARD PULL` migration streams; `None` without
-    /// persistence (resharding requires a durable catalog).
-    pub(crate) reshard: Option<Arc<ReshardRunner>>,
+    /// Spawns replica pullers on `DEMOTE` and drives `RESHARD PULL`
+    /// migration streams; `None` without persistence (replica mode and
+    /// resharding both require a durable catalog).
+    pub(crate) follower: Option<Arc<StreamFollower>>,
     /// Threads running [`offload`]ed requests; the server joins them
     /// with the pullers at teardown.
     pub(crate) helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -371,7 +369,6 @@ pub(crate) fn on_conn_line(
         }
         Request::Replicate {
             from_seq,
-            v2,
             ring,
             reset,
         } => match &ctx.persist {
@@ -388,7 +385,7 @@ pub(crate) fn on_conn_line(
                     }
                 };
                 let registered = make_follower().and_then(|conn| {
-                    p.begin_stream(conn_id, from_seq, v2, reset, scope.as_ref(), conn)
+                    p.begin_stream(conn_id, from_seq, reset, scope.as_ref(), conn)
                 });
                 match registered {
                     // The handshake header + backlog chunk is already
@@ -465,8 +462,8 @@ pub(crate) fn on_conn_line(
                 ServerStats::add(&stats.protocol_errors, 1);
                 reply("-ERR RESHARD ADD/REMOVE target the cluster router, not a backend".into());
             }
-            ReshardCmd::Status => match &ctx.reshard {
-                Some(runner) => reply(runner.status_line()),
+            ReshardCmd::Status => match &ctx.follower {
+                Some(follower) => reply(follower.pull_status_line()),
                 None => reply("+OK reshard idle".into()),
             },
             ReshardCmd::Pull {
@@ -478,7 +475,7 @@ pub(crate) fn on_conn_line(
                     reply(protocol::READ_ONLY_REPLICA_ERR.to_string());
                     return Flow::Continue;
                 }
-                let Some(runner) = &ctx.reshard else {
+                let Some(follower) = &ctx.follower else {
                     ServerStats::add(&stats.protocol_errors, 1);
                     reply("-ERR persistence required for resharding".into());
                     return Flow::Continue;
@@ -493,7 +490,7 @@ pub(crate) fn on_conn_line(
                 match parsed {
                     Ok((scope, donor)) => {
                         let ack = format!("+OK reshard pulling {source}");
-                        runner.start_pull(source, scope, donor);
+                        follower.start_pull(source, scope, donor);
                         reply(ack);
                     }
                     Err(e) => {
@@ -502,12 +499,12 @@ pub(crate) fn on_conn_line(
                     }
                 }
             }
-            ReshardCmd::Cutoff => match &ctx.reshard {
-                Some(runner) => {
-                    runner.stop();
+            ReshardCmd::Cutoff => match &ctx.follower {
+                Some(follower) => {
+                    follower.stop_pull();
                     reply(format!(
                         "+OK reshard cutoff applied {}",
-                        runner.cursor.load(Ordering::SeqCst)
+                        follower.cursor.load(Ordering::SeqCst)
                     ));
                 }
                 None => {
@@ -566,17 +563,15 @@ pub(crate) fn on_conn_line(
                 }
             }
         },
-        Request::Demote { addr } => match &ctx.runner {
-            Some(runner) => {
+        Request::Demote { addr } => match &ctx.follower {
+            Some(follower) => {
                 let generation = ctx.role.demote(addr.clone());
                 ServerStats::add(&stats.demotions, 1);
                 stats.role_replica.store(1, Ordering::Relaxed);
                 // A replica must not keep absorbing a migration pull:
                 // its catalog now mirrors its primary's, nothing else.
-                if let Some(reshard) = &ctx.reshard {
-                    reshard.stop();
-                }
-                runner.clone().spawn(generation);
+                follower.stop_pull();
+                follower.follow_primary(generation);
                 reply(format!("+OK demoted following {addr}"));
             }
             None => {

@@ -139,7 +139,7 @@ pub struct ServerStats {
     /// `REPLACK`s that covered more than one applied record (drained-batch
     /// acks on the follower's pull stream).
     pub replacks_pipelined: AtomicU64,
-    /// Bytes shipped in bootstrap chunks (text frames or colstore blocks)
+    /// Bytes shipped in bootstrap chunks (colstore `BLOCK` lines)
     /// answering `REPLICATE` handshakes on this primary.
     pub repl_bootstrap_bytes: AtomicU64,
     /// Churn refused because the id routes outside this node's ring

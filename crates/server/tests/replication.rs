@@ -8,8 +8,9 @@
 use apcm_bexpr::{Schema, SubId, Subscription};
 use apcm_server::persist::failpoint::{self, FailAction};
 use apcm_server::persist::log::{render_frame, ChurnOp};
+use apcm_server::protocol::{self, ReplicateStart};
 use apcm_server::{
-    BrokerClient, EngineChoice, PersistConfig, Role, Server, ServerConfig, ServerStats,
+    BrokerClient, EngineChoice, PersistConfig, Ring, Role, Server, ServerConfig, ServerStats,
     SnapshotFormat,
 };
 use apcm_workload::WorkloadSpec;
@@ -190,8 +191,8 @@ fn rotation_gap_forces_snapshot_bootstrap() {
 }
 
 /// Same rotation gap against a primary pinned to the text snapshot
-/// format: the follower always offers `v2`, and a text primary answers
-/// with the plain per-frame bootstrap — both sides stay compatible.
+/// format: the bootstrap is built from the in-memory catalog, so a
+/// text-on-disk primary still ships colstore blocks.
 #[test]
 fn rotation_gap_bootstraps_from_text_format_primary() {
     let wl = WorkloadSpec::new(50).seed(0x7e87).build();
@@ -471,6 +472,89 @@ fn promote_demote_round_trip_swaps_roles() {
     b.shutdown();
 }
 
+/// A `RESHARD PULL` whose cursor predates the donor's retained log takes
+/// the bootstrap arm: the donor ships its scoped catalog image as blocks,
+/// the puller applies it additively, and the reconcile drops only owned
+/// ids this donor could have held that its image lacks.
+#[test]
+fn scoped_pull_bootstrap_reconciles_within_donor_scope() {
+    let wl = WorkloadSpec::new(120).seed(0x5c0b).build();
+    // The puller is member 2 of the grown ring {0,1,2}; the donor was
+    // member 0 of the old ring {0,1}.
+    let (old_ring, new_ring) = (Ring::new(&[0, 1]), Ring::new(&[0, 1, 2]));
+    let moves = |s: &Subscription| new_ring.route(s.id()) == 2;
+    let donor_owned = |s: &Subscription| old_ring.route(s.id()) == 0;
+    // (a) owned by the pull, once the donor's, gone from the donor's image.
+    let gone = wl.subs.iter().find(|s| moves(s) && donor_owned(s)).unwrap();
+    // (b) owned by the pull but outside the donor's old-ring scope: an
+    // earlier leg's id, which this donor's image cannot speak for.
+    let other_leg = wl
+        .subs
+        .iter()
+        .find(|s| moves(s) && !donor_owned(s))
+        .unwrap();
+    // (c) not owned by the pull at all.
+    let unowned = wl.subs.iter().find(|s| !moves(s)).unwrap();
+    let donor_subs: Vec<&Subscription> = wl
+        .subs
+        .iter()
+        .filter(|s| donor_owned(s) && s.id() != gone.id())
+        .collect();
+
+    let (donor, mut dc) = start(&wl.schema, persisted_config(&tmpdir("pullboot_d")));
+    // (a) lived on the donor and died before the rotation, so only the
+    // donor's image — never its log — can tell the puller it is gone.
+    dc.subscribe(gone, &wl.schema).unwrap();
+    dc.unsubscribe(gone.id()).unwrap();
+    let half = donor_subs.len() / 2;
+    for sub in &donor_subs[..half] {
+        dc.subscribe(sub, &wl.schema).unwrap();
+    }
+    dc.snapshot().unwrap();
+    for sub in &donor_subs[half..] {
+        dc.subscribe(sub, &wl.schema).unwrap();
+    }
+
+    // The puller already holds all three, as if (a) had been absorbed
+    // from this donor before a disconnect outlived its log.
+    let (puller, mut pc) = start(&wl.schema, persisted_config(&tmpdir("pullboot_p")));
+    for sub in [gone, other_leg, unowned] {
+        pc.subscribe(sub, &wl.schema).unwrap();
+    }
+    let src = donor.local_addr().to_string();
+    pc.send_line(&format!("RESHARD PULL {src} 0,1,2 2 0,1 0"))
+        .unwrap();
+    assert_eq!(
+        pc.read_line().unwrap().unwrap(),
+        format!("+OK reshard pulling {src}")
+    );
+    let caught_up = format!("OK reshard pulling {src} applied {} ", donor.current_seq());
+    wait_until(
+        "pull reaches the donor's seq",
+        Duration::from_secs(10),
+        || pc.reshard_status().unwrap().starts_with(&caught_up),
+    );
+    // The rotation left no log to tail from cursor 0: the image shipped.
+    assert!(ServerStats::get(&donor.stats().repl_bootstrap_bytes) > 0);
+
+    let expected: Vec<&Subscription> = [other_leg, unowned]
+        .into_iter()
+        .chain(donor_subs.iter().copied().filter(|s| moves(s)))
+        .collect();
+    assert_eq!(puller.engine().len(), expected.len());
+    let events = wl.events(64);
+    let expect = oracle_rows(&expected, &events);
+    let rows = pc.publish_batch(&events, &wl.schema).unwrap();
+    for (seq, row) in &rows {
+        assert_eq!(row, &expect[*seq as usize], "event {seq}");
+    }
+
+    pc.quit().unwrap();
+    dc.quit().unwrap();
+    puller.shutdown();
+    donor.shutdown();
+}
+
 /// A hand-rolled "primary" that serves scripted `REPLICATE` responses, so
 /// the follower's CRC handling can be probed with byte-exact streams.
 fn scripted_primary(
@@ -541,12 +625,15 @@ fn crc_bad_streamed_record_is_counted_and_never_applied() {
     fake.join().unwrap();
 }
 
-/// A scripted primary that answers `REPLICATE` with a colstore bootstrap:
-/// conn 1 ships a block whose CRC is wrong — the follower must drop the
-/// stream and apply **nothing** — and conn 2 ships the same blocks intact.
+/// A scripted primary that answers `REPLICATE` with a two-block colstore
+/// bootstrap: conn 1 ships the first block intact and the second with a
+/// wrong CRC — the follower must drop the stream and apply **nothing** —
+/// and conn 2, served only once `release` fires, ships both blocks
+/// intact. The gate lets the test look at the follower between the two.
 fn scripted_colstore_primary(
     schema: Schema,
     subs: Vec<Subscription>,
+    release: std::sync::mpsc::Receiver<()>,
 ) -> (String, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -563,28 +650,22 @@ fn scripted_colstore_primary(
             })
             .collect();
         let blocks: Vec<apcm_colstore::CompressedBlock> =
-            apcm_colstore::prepare_partition(0, &rows, apcm_colstore::DEFAULT_BLOCK_ROWS)
+            apcm_colstore::prepare_partition(0, &rows, subs.len().div_ceil(2))
                 .unwrap()
                 .into_iter()
                 .map(apcm_colstore::compress_block)
                 .collect();
-        let header = format!(
-            "+OK replicate colstore {} {} {}\n",
-            blocks.len(),
-            subs.len(),
-            subs.len()
-        );
-        let block_line = |b: &apcm_colstore::CompressedBlock, crc: u32| {
-            format!(
-                "BLOCK {} {} {} {crc:08x} {}\n",
-                b.partition,
-                b.rows,
-                b.raw_len,
-                apcm_colstore::b64::encode(&b.data)
-            )
-        };
+        assert_eq!(blocks.len(), 2);
+        let header = protocol::render_replicate_header(&ReplicateStart::Colstore {
+            blocks: blocks.len(),
+            subs: subs.len(),
+            seq: subs.len() as u64,
+        });
         let mut serving = 0usize;
         while serving < 2 {
+            if serving == 1 && release.recv().is_err() {
+                return;
+            }
             let Ok((stream, _)) = listener.accept() else {
                 return;
             };
@@ -594,22 +675,26 @@ fn scripted_colstore_primary(
             reader.read_line(&mut line).unwrap();
             assert!(line.starts_with("REPLICATE "), "{line}");
             let mut w = stream.try_clone().unwrap();
+            let mut body = header.clone();
+            for (i, block) in blocks.iter().enumerate() {
+                let mut block = block.clone();
+                if serving == 1 && i == 1 {
+                    // Framed, parseable, wrong checksum: the follower
+                    // must refuse the whole bootstrap, not skip a block.
+                    block.crc ^= 1;
+                }
+                body.push('\n');
+                body.push_str(&protocol::render_bootstrap_block(&block));
+            }
+            body.push('\n');
+            w.write_all(body.as_bytes()).unwrap();
             if serving == 1 {
-                // Framed, parseable, wrong checksum: the follower must
-                // refuse the whole bootstrap, not skip one block.
-                let body = format!("{header}{}", block_line(&blocks[0], blocks[0].crc ^ 1));
-                w.write_all(body.as_bytes()).unwrap();
                 // Follower aborts; wait for its EOF.
                 let mut rest = String::new();
                 while reader.read_line(&mut rest).map(|n| n > 0).unwrap_or(false) {
                     rest.clear();
                 }
             } else {
-                let mut body = header.clone();
-                for b in &blocks {
-                    body.push_str(&block_line(b, b.crc));
-                }
-                w.write_all(body.as_bytes()).unwrap();
                 std::thread::sleep(Duration::from_millis(400));
             }
         }
@@ -617,27 +702,69 @@ fn scripted_colstore_primary(
     (addr, handle)
 }
 
+/// Both stream-follower policies collect the whole bootstrap image before
+/// they install any of it: a replica (wholesale replace) and a `RESHARD
+/// PULL` puller (additive scoped apply) alike.
 #[test]
 fn corrupt_colstore_block_forces_clean_refetch() {
-    let wl = WorkloadSpec::new(6).seed(0xcb10).build();
-    let (addr, fake) = scripted_colstore_primary(wl.schema.clone(), wl.subs.clone());
+    for pull in [false, true] {
+        let mode = if pull { "pull" } else { "replica" };
+        let wl = WorkloadSpec::new(6).seed(0xcb10).build();
+        let (release, gate) = std::sync::mpsc::channel();
+        let (addr, fake) = scripted_colstore_primary(wl.schema.clone(), wl.subs.clone(), gate);
 
-    let (replica, rc) = start(&wl.schema, replica_config(&tmpdir("colcrc_r"), &addr));
-    wait_until(
-        "colstore bootstrap applied",
-        Duration::from_secs(10),
-        || replica.current_seq() == wl.subs.len() as u64,
-    );
-    // The corrupt block killed the whole first bootstrap: nothing from it
-    // was applied, and the reconnect refetched every block.
-    assert!(ServerStats::get(&replica.stats().repl_crc_skipped) >= 1);
-    assert!(ServerStats::get(&replica.stats().repl_reconnects) >= 1);
-    assert_eq!(ServerStats::get(&replica.stats().repl_bootstraps), 1);
-    assert_eq!(replica.engine().len(), wl.subs.len());
+        let dir = tmpdir(&format!("colcrc_{mode}"));
+        let (follower, mut fc) = if pull {
+            // A one-member ring keeping member 0 owns every id.
+            let (server, mut client) = start(&wl.schema, persisted_config(&dir));
+            client
+                .send_line(&format!("RESHARD PULL {addr} 0 0"))
+                .unwrap();
+            let ack = client.read_line().unwrap().unwrap();
+            assert_eq!(ack, format!("+OK reshard pulling {addr}"));
+            (server, client)
+        } else {
+            start(&wl.schema, replica_config(&dir, &addr))
+        };
+        wait_until(
+            &format!("{mode}: damaged block rejected"),
+            Duration::from_secs(10),
+            || ServerStats::get(&follower.stats().repl_crc_skipped) >= 1,
+        );
+        // The first block was intact, but the damaged second one poisoned
+        // the whole image: nothing from it was applied.
+        assert_eq!(follower.engine().len(), 0, "{mode}: partial image applied");
+        assert_eq!(follower.current_seq(), 0, "{mode}: partial image logged");
+        release.send(()).unwrap();
 
-    drop(rc);
-    replica.shutdown();
-    fake.join().unwrap();
+        let n = wl.subs.len();
+        let pulled = format!("OK reshard pulling {addr} applied {n} ");
+        wait_until(
+            &format!("{mode}: colstore bootstrap applied"),
+            Duration::from_secs(10),
+            || {
+                follower.current_seq() == n as u64
+                    && (!pull || fc.reshard_status().unwrap().starts_with(&pulled))
+            },
+        );
+        // The corrupt block killed the whole first bootstrap, and the
+        // reconnect refetched every block.
+        assert!(ServerStats::get(&follower.stats().repl_crc_skipped) >= 1);
+        assert_eq!(follower.engine().len(), n, "{mode}");
+        if pull {
+            assert_eq!(
+                ServerStats::get(&follower.stats().reshard_pull_applied),
+                n as u64
+            );
+        } else {
+            assert!(ServerStats::get(&follower.stats().repl_reconnects) >= 1);
+            assert_eq!(ServerStats::get(&follower.stats().repl_bootstraps), 1);
+        }
+
+        drop(fc);
+        follower.shutdown();
+        fake.join().unwrap();
+    }
 }
 
 /// Ten frames shipped in one burst land in the follower's read buffer

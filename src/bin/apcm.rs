@@ -615,4 +615,46 @@ mod tests {
             assert_eq!(documented, accepted, "flags of `apcm {name}`");
         }
     }
+
+    /// Every `--flag` the README names is one some `apcm` command
+    /// accepts, or belongs to cargo or the bench harness.
+    #[test]
+    fn readme_names_only_real_flags() {
+        const OTHER_TOOLS: &[&str] = &[
+            "release",
+            "bin",
+            "example",
+            "bench",
+            "workspace",
+            "experiment",
+            "scale",
+            "budget-ms",
+            "json",
+        ];
+        let readme = include_str!("../../README.md");
+        let mut unknown = Vec::new();
+        for (at, _) in readme.match_indices("--") {
+            if readme[..at].ends_with('-') {
+                continue;
+            }
+            let name: String = readme[at + 2..]
+                .chars()
+                .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '-')
+                .collect();
+            let name = name.trim_end_matches('-');
+            if name.is_empty() || !name.starts_with(|c: char| c.is_ascii_lowercase()) {
+                continue;
+            }
+            let known_flag = COMMANDS
+                .iter()
+                .any(|(_, _, flags)| flags.split_whitespace().any(|f| f == name));
+            if !known_flag && !OTHER_TOOLS.contains(&name) {
+                unknown.push(format!("--{name}"));
+            }
+        }
+        assert!(
+            unknown.is_empty(),
+            "README names unknown flags: {unknown:?}"
+        );
+    }
 }
